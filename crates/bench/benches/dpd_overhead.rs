@@ -1,11 +1,13 @@
 //! §4.2 claims the predictor's overhead is small because it is
 //! implemented with circular lists. This bench measures the
 //! per-observation cost of the incremental detector as the lag range
-//! grows, and the cost of producing +1..+5 predictions.
+//! grows, under the paper's settings, and on short streams that never
+//! leave warm-up, and the cost of producing +1..+5 predictions.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mpp_core::dpd::{DpdConfig, DpdPredictor, PeriodicityDetector};
 use mpp_core::predictors::Predictor;
+use mpp_experiments::experiment_dpd_config;
 
 fn stream(len: usize) -> Vec<u64> {
     // BT.9-like period-18 sender pattern.
@@ -36,6 +38,46 @@ fn bench_observe(c: &mut Criterion) {
                 });
             },
         );
+    }
+    // The paper's settings (window 512, max_lag 256, tolerance 0.40,
+    // evidence factor 0.125): twice the lags of the engine's default and
+    // a tolerant selection.
+    g.bench_function("paper_settings", |b| {
+        b.iter(|| {
+            let mut det = PeriodicityDetector::new(experiment_dpd_config());
+            for &v in &data {
+                det.observe(black_box(v));
+            }
+            black_box(det.period())
+        });
+    });
+    g.finish();
+}
+
+fn bench_observe_short_streams(c: &mut Criterion) {
+    // Streams of 120 observations, each on a fresh detector: the whole
+    // stream is warm-up (the history never fills), as on IS.4's streams.
+    const STREAMS: usize = 80;
+    let data = stream(120);
+    let mut g = c.benchmark_group("dpd_observe_short");
+    g.throughput(Throughput::Elements((STREAMS * data.len()) as u64));
+    for (name, cfg) in [
+        ("default", DpdConfig::default()),
+        ("paper_settings", experiment_dpd_config()),
+    ] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut locked = 0usize;
+                for _ in 0..STREAMS {
+                    let mut det = PeriodicityDetector::new(cfg.clone());
+                    for &v in &data {
+                        det.observe(black_box(v));
+                    }
+                    locked += usize::from(det.period().is_some());
+                }
+                black_box(locked)
+            });
+        });
     }
     g.finish();
 }
@@ -102,5 +144,6 @@ fn quick() -> Criterion {
 criterion_group!(
     name = benches;
     config = quick();
-    targets = bench_observe, bench_predict, bench_observe_predict_cycle);
+    targets = bench_observe, bench_observe_short_streams, bench_predict,
+        bench_observe_predict_cycle);
 criterion_main!(benches);

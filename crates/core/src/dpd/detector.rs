@@ -2,9 +2,15 @@
 //!
 //! [`PeriodicityDetector`] maintains, for every candidate lag `m`, the
 //! exact number of mismatching comparisons among the last `N` comparisons
-//! at that lag. Each observation costs O(`max_lag`): one comparison and one
-//! bit-window push per lag. This is the "circular lists" implementation
-//! whose low overhead §4.2 emphasises (benchmarked in `mpp-bench`).
+//! at that lag, as one dense `u16` counter per lag. Each observation costs
+//! two compare passes over the retained history, O(`max_lag`) each: one
+//! adds the new symbol's mismatch against `x[t−m]` to every lag, the other
+//! takes off the comparison that leaves each full window,
+//! `x[t−N]` against `x[t−N−m]`, recomputed from the history rather than
+//! stored. The history ring (`N + max_lag` symbols) is the only other
+//! state, so a detector with the default settings holds about 3.5 KB.
+//! This is the "circular lists" implementation whose low overhead §4.2
+//! emphasises (benchmarked in `mpp-bench`).
 //!
 //! Detection policy: a lag `m` is *eligible* when it has accumulated at
 //! least `max(⌈m·evidence_factor⌉, min_comparisons)` comparisons ("a
@@ -19,8 +25,15 @@
 //! window (minimal mismatch ratio), ties broken toward the smaller lag —
 //! so exact periodicity always wins over incidental short-range
 //! repetition, and the fundamental period wins over its multiples.
+//!
+//! Two facts keep selection cheap. The evidence need grows with `m` while
+//! the comparisons made shrink with it, so the lags with enough evidence
+//! form a prefix that only grows as the history fills. And once the
+//! history is full every lag's window holds exactly `N` comparisons: the
+//! ratios share one denominator and order like the integer counts, so the
+//! period is the first smallest counter of that prefix. Only warm-up, with
+//! the history still filling, compares ratios lag by lag.
 
-use super::distance::BitWindow;
 use crate::ring::Ring;
 use crate::stream::Symbol;
 
@@ -28,7 +41,7 @@ use crate::stream::Symbol;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpdConfig {
     /// `N`: number of recent comparisons (per lag) forming the window of
-    /// equation (1).
+    /// equation (1). At most 65 535, the range of a lag's counter.
     pub window: usize,
     /// `M`: largest candidate period, exclusive upper bound is `max_lag + 1`.
     pub max_lag: usize,
@@ -67,9 +80,17 @@ impl Default for DpdConfig {
 
 impl DpdConfig {
     /// Validates invariants, panicking with a descriptive message on
-    /// nonsensical configurations. Called by the detector constructor.
-    fn validate(&self) {
+    /// nonsensical configurations. Called by the detector constructor,
+    /// and by the engine's config validation so a bad config fails where
+    /// the engine is built.
+    pub fn validate(&self) {
         assert!(self.window > 0, "window must be positive");
+        assert!(
+            self.window <= usize::from(u16::MAX),
+            "window must not exceed {} (a lag's mismatch counter is 16-bit), got {}",
+            u16::MAX,
+            self.window
+        );
         assert!(self.max_lag > 0, "max_lag must be positive");
         assert!(
             self.min_lag > 0,
@@ -92,39 +113,12 @@ impl DpdConfig {
             self.evidence_factor
         );
     }
-}
 
-/// Per-lag sliding state: the last `window` comparison outcomes and the
-/// running mismatch count among them.
-#[derive(Debug, Clone)]
-struct LagState {
-    bits: BitWindow,
-    mismatches: u32,
-}
-
-impl LagState {
-    fn new(window: usize) -> Self {
-        LagState {
-            bits: BitWindow::with_capacity(window),
-            mismatches: 0,
-        }
-    }
-
-    #[inline]
-    fn record(&mut self, mismatch: bool) {
-        if let Some(evicted) = self.bits.push(mismatch) {
-            if evicted {
-                self.mismatches -= 1;
-            }
-        }
-        if mismatch {
-            self.mismatches += 1;
-        }
-    }
-
-    #[inline]
-    fn comparisons(&self) -> usize {
-        self.bits.len()
+    /// Comparisons lag `m` needs before it may be declared periodic:
+    /// `max(⌈m · evidence_factor⌉, min_comparisons)`, at least 1 and
+    /// non-decreasing in `m`.
+    fn evidence_need(&self, m: usize) -> usize {
+        ((m as f64 * self.evidence_factor).ceil() as usize).max(self.min_comparisons)
     }
 }
 
@@ -135,14 +129,13 @@ pub struct PeriodicityDetector {
     /// Recent raw symbols; sized `window + max_lag` so both comparison
     /// partners and prediction sources stay addressable.
     history: Ring,
-    /// `lags[i]` tracks lag `min_lag + i`.
-    lags: Vec<LagState>,
-    /// Precomputed evidence thresholds:
-    /// `needs[i] = max(⌈(min_lag + i)·evidence_factor⌉, min_comparisons)`.
-    /// The formula is a pure function of the immutable config, and
-    /// recomputing the float ceil per lag per event was measurable on
-    /// the ingest hot path.
-    needs: Vec<usize>,
+    /// `mismatches[i]`: mismatching comparisons among the last
+    /// `min(window, history.len() − m)` at lag `m = min_lag + i`. The
+    /// comparison count is derived from the ring's length, never stored,
+    /// so replaying a retained history rebuilds it exactly.
+    mismatches: Box<[u16]>,
+    /// Lags `min_lag .. min_lag + ready` have their evidence need met.
+    ready: usize,
     current: Option<usize>,
     observations: u64,
 }
@@ -151,16 +144,10 @@ impl PeriodicityDetector {
     /// Creates a detector with the given configuration.
     pub fn new(cfg: DpdConfig) -> Self {
         cfg.validate();
-        let lags = (cfg.min_lag..=cfg.max_lag)
-            .map(|_| LagState::new(cfg.window))
-            .collect();
-        let needs = (cfg.min_lag..=cfg.max_lag)
-            .map(|m| ((m as f64 * cfg.evidence_factor).ceil() as usize).max(cfg.min_comparisons))
-            .collect();
         PeriodicityDetector {
             history: Ring::with_capacity(cfg.window + cfg.max_lag),
-            lags,
-            needs,
+            mismatches: vec![0; cfg.max_lag - cfg.min_lag + 1].into_boxed_slice(),
+            ready: 0,
             current: None,
             cfg,
             observations: 0,
@@ -182,10 +169,14 @@ impl PeriodicityDetector {
     /// *exact*, not approximate: the ring keeps `window + max_lag`
     /// symbols, so for every lag `m` the replay regenerates at least
     /// the last `window` comparisons at that lag — precisely the
-    /// comparisons the original [`BitWindow`]s held — and the mismatch
+    /// comparisons the original counters held — and the mismatch
     /// counters, the locked period, and all future behaviour recompute
-    /// bit-identically. Only the two lifetime counters need explicit
-    /// fix-up, which this constructor applies.
+    /// bit-identically. Comparison counts follow the ring's length, so
+    /// the lifetime counters, which this constructor sets afterwards,
+    /// cannot disturb them.
+    ///
+    /// # Panics
+    /// Panics if `history` is longer than `window + max_lag`.
     pub fn hydrate(
         cfg: DpdConfig,
         history: &[Symbol],
@@ -219,21 +210,19 @@ impl PeriodicityDetector {
 
     /// Feeds one stream symbol and updates the detected period.
     pub fn observe(&mut self, v: Symbol) {
-        // Lag `m = min_lag + i` compares `v` against x[t-m]: `m - 1`
-        // steps back from the newest stored symbol (v is not yet
-        // pushed). Walking the history newest-first and zipping it onto
-        // the lag states visits the same (lag, partner) pairs as
-        // indexing `recent(m - 1)` per lag, but as two contiguous slice
-        // scans — no per-lag index arithmetic; lags whose partner is
-        // not stored yet simply fall off the end of the zip.
-        let skip = self.cfg.min_lag - 1;
-        for (lag, prev) in self
-            .lags
-            .iter_mut()
-            .zip(self.history.iter_recent().skip(skip))
-        {
-            lag.record(prev != v);
+        let (window, min_lag) = (self.cfg.window, self.cfg.min_lag);
+        let lags = self.mismatches.len();
+        // Before the push, recent(k) is x[t−1−k]. The comparison leaving
+        // lag m's window is x[t−window] = recent(window − 1) against
+        // x[t−window−m] = recent(window − 1 + m); it exists exactly when
+        // that window was full.
+        if let Some(leaving) = self.history.recent(window - 1) {
+            let partners = self.history.recent_slices(window - 1 + min_lag, lags);
+            tally(&mut self.mismatches, leaving, partners, u16::wrapping_sub);
         }
+        // The new comparison at lag m: v against x[t−m] = recent(m − 1).
+        let partners = self.history.recent_slices(min_lag - 1, lags);
+        tally(&mut self.mismatches, v, partners, u16::wrapping_add);
         self.history.push(v);
         self.observations += 1;
         self.update_current();
@@ -248,18 +237,19 @@ impl PeriodicityDetector {
     /// windowed comparisons at that lag match, `Some(1)` otherwise. `None`
     /// when `m` is outside the configured lag range.
     pub fn distance(&self, m: usize) -> Option<u8> {
-        let st = self.lag_state(m)?;
-        Some(u8::from(st.mismatches > 0))
+        let i = self.lag_index(m)?;
+        Some(u8::from(self.mismatches[i] > 0))
     }
 
     /// Fraction of mismatching comparisons in the window at lag `m`;
     /// `None` outside the lag range or before any comparison happened.
     pub fn mismatch_ratio(&self, m: usize) -> Option<f64> {
-        let st = self.lag_state(m)?;
-        if st.comparisons() == 0 {
+        let i = self.lag_index(m)?;
+        let n = self.comparisons(m);
+        if n == 0 {
             return None;
         }
-        Some(st.mismatches as f64 / st.comparisons() as f64)
+        Some(f64::from(self.mismatches[i]) / n as f64)
     }
 
     /// Confidence in the current lock: `1 − mismatch ratio` of the locked
@@ -276,31 +266,23 @@ impl PeriodicityDetector {
     /// Resets all stream state, keeping the configuration.
     pub fn reset(&mut self) {
         self.history.clear();
-        for lag in &mut self.lags {
-            lag.bits.clear();
-            lag.mismatches = 0;
-        }
+        self.mismatches.fill(0);
+        self.ready = 0;
         self.current = None;
         self.observations = 0;
     }
 
-    fn lag_state(&self, m: usize) -> Option<&LagState> {
+    fn lag_index(&self, m: usize) -> Option<usize> {
         if m < self.cfg.min_lag || m > self.cfg.max_lag {
             return None;
         }
-        Some(&self.lags[m - self.cfg.min_lag])
+        Some(m - self.cfg.min_lag)
     }
 
-    fn eligible(&self, m: usize) -> bool {
-        let st = match self.lag_state(m) {
-            Some(st) => st,
-            None => return false,
-        };
-        let n = st.comparisons();
-        if n < self.needs[m - self.cfg.min_lag] {
-            return false;
-        }
-        st.mismatches as f64 <= self.cfg.tolerance * n as f64
+    /// Comparisons in lag `m`'s window: `min(window, len − m)`, where
+    /// `len` is the number of retained symbols.
+    fn comparisons(&self, m: usize) -> usize {
+        self.history.len().saturating_sub(m).min(self.cfg.window)
     }
 
     /// Chooses the eligible lag with the cleanest window — minimal
@@ -310,13 +292,51 @@ impl PeriodicityDetector {
     /// slightly above 0 at lag 1 because of run boundaries in the window)
     /// does not steal the lock from the true period (ratio exactly 0).
     fn update_current(&mut self) {
+        // Needs rise with m and comparisons fall with it, so the lags
+        // with enough evidence are a prefix; extend it as the ring fills.
+        while self.ready < self.mismatches.len() {
+            let m = self.cfg.min_lag + self.ready;
+            if self.comparisons(m) < self.cfg.evidence_need(m) {
+                break;
+            }
+            self.ready += 1;
+        }
+        self.current = if self.history.len() == self.history.capacity() {
+            self.cleanest_full()
+        } else {
+            self.cleanest_filling()
+        };
+    }
+
+    /// Selection once the history is full. Every window then holds
+    /// `window` comparisons: the ratios share one denominator, and
+    /// correctly rounded division by it keeps distinct counts distinct
+    /// and in order. So the first smallest counter is the cleanest lag,
+    /// and it is eligible exactly when its ratio passes the same f64
+    /// tolerance test [`Self::cleanest_filling`] applies.
+    fn cleanest_full(&self) -> Option<usize> {
+        let counts = &self.mismatches[..self.ready];
+        // A fold, unlike `Iterator::min`, compiles to a vector reduction.
+        // With no lag ready, `least` stays above any tolerance limit.
+        let least = counts.iter().fold(u16::MAX, |a, &c| a.min(c));
+        if f64::from(least) > self.cfg.tolerance * self.cfg.window as f64 {
+            return None;
+        }
+        let i = counts.iter().position(|&c| c == least)?;
+        Some(self.cfg.min_lag + i)
+    }
+
+    /// Selection while the history fills: window sizes differ by lag, so
+    /// ratios are compared one lag at a time.
+    fn cleanest_filling(&self) -> Option<usize> {
         let mut best: Option<(f64, usize)> = None;
-        for m in self.cfg.min_lag..=self.cfg.max_lag {
-            if !self.eligible(m) {
+        for (i, &c) in self.mismatches[..self.ready].iter().enumerate() {
+            let m = self.cfg.min_lag + i;
+            let n = self.comparisons(m) as f64;
+            if f64::from(c) > self.cfg.tolerance * n {
                 continue;
             }
-            let st = self.lag_state(m).expect("lag in range");
-            let ratio = st.mismatches as f64 / st.comparisons() as f64;
+            let ratio = f64::from(c) / n;
             match best {
                 Some((r, _)) if r <= ratio => {}
                 _ => best = Some((ratio, m)),
@@ -326,7 +346,27 @@ impl PeriodicityDetector {
                 break;
             }
         }
-        self.current = best.map(|(_, m)| m);
+        best.map(|(_, m)| m)
+    }
+}
+
+/// Applies `op` (add or subtract) to each lag's counter with the mismatch
+/// of `x` against that lag's partner. `partners` holds the partners of
+/// the first lags in order, as the ring's two contiguous runs; lags past
+/// their end have no partner yet and keep their counts.
+#[inline]
+fn tally(
+    counts: &mut [u16],
+    x: Symbol,
+    (near, far): (&[Symbol], &[Symbol]),
+    op: impl Fn(u16, u16) -> u16,
+) {
+    let (first, rest) = counts.split_at_mut(near.len());
+    for (c, &p) in first.iter_mut().zip(near) {
+        *c = op(*c, u16::from(p != x));
+    }
+    for (c, &p) in rest.iter_mut().zip(far) {
+        *c = op(*c, u16::from(p != x));
     }
 }
 

@@ -1,5 +1,4 @@
-//! The DPD distance metric (paper equation 1) and the bit-window that
-//! makes it incremental.
+//! The DPD distance metric (paper equation 1), computed offline.
 //!
 //! The offline functions here are the *reference* semantics; the online
 //! [`PeriodicityDetector`](super::detector::PeriodicityDetector) maintains
@@ -37,98 +36,6 @@ pub fn distance_sign(window: &[Symbol], m: usize) -> u8 {
     }
     let mismatch = (m..window.len()).any(|i| window[i] != window[i - m]);
     u8::from(mismatch)
-}
-
-/// A fixed-capacity FIFO of bits, used per lag to remember which of the
-/// last `capacity` comparisons were mismatches. Pushing past capacity
-/// evicts (and returns) the oldest bit so the detector can decrement its
-/// mismatch counter — this is what keeps the detector O(max_lag) per
-/// observation with exact sliding-window semantics.
-#[derive(Debug, Clone)]
-pub struct BitWindow {
-    words: Box<[u64]>,
-    capacity: usize,
-    /// Next bit position to write.
-    head: usize,
-    len: usize,
-}
-
-impl BitWindow {
-    /// Creates a window holding at most `capacity` bits.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn with_capacity(capacity: usize) -> Self {
-        assert!(capacity > 0, "bit window capacity must be positive");
-        let words = vec![0u64; capacity.div_ceil(64)].into_boxed_slice();
-        BitWindow {
-            words,
-            capacity,
-            head: 0,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn get(&self, pos: usize) -> bool {
-        (self.words[pos / 64] >> (pos % 64)) & 1 == 1
-    }
-
-    #[inline]
-    fn set(&mut self, pos: usize, bit: bool) {
-        let w = &mut self.words[pos / 64];
-        let mask = 1u64 << (pos % 64);
-        if bit {
-            *w |= mask;
-        } else {
-            *w &= !mask;
-        }
-    }
-
-    /// Appends `bit`. When the window is already full, the oldest bit is
-    /// evicted and returned so callers can keep running counts exact.
-    #[inline]
-    pub fn push(&mut self, bit: bool) -> Option<bool> {
-        let evicted = if self.len == self.capacity {
-            Some(self.get(self.head))
-        } else {
-            None
-        };
-        self.set(self.head, bit);
-        self.head += 1;
-        if self.head == self.capacity {
-            self.head = 0;
-        }
-        if self.len < self.capacity {
-            self.len += 1;
-        }
-        evicted
-    }
-
-    /// Number of bits currently stored.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no bit has been pushed yet.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Maximum number of stored bits.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Forgets all stored bits.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-        self.head = 0;
-        self.len = 0;
-    }
 }
 
 #[cfg(test)]
@@ -172,56 +79,5 @@ mod tests {
     #[test]
     fn lag_zero_is_ignored() {
         assert_eq!(distance_sign(&[1, 2, 3], 0), 0);
-    }
-
-    #[test]
-    fn bit_window_below_capacity_never_evicts() {
-        let mut b = BitWindow::with_capacity(3);
-        assert!(b.is_empty());
-        assert_eq!(b.push(true), None);
-        assert_eq!(b.push(false), None);
-        assert_eq!(b.push(true), None);
-        assert_eq!(b.len(), 3);
-    }
-
-    #[test]
-    fn bit_window_evicts_fifo() {
-        let mut b = BitWindow::with_capacity(2);
-        b.push(true);
-        b.push(false);
-        assert_eq!(b.push(false), Some(true));
-        assert_eq!(b.push(true), Some(false));
-        assert_eq!(b.push(true), Some(false));
-        assert_eq!(b.push(false), Some(true));
-        assert_eq!(b.len(), 2);
-    }
-
-    #[test]
-    fn bit_window_crosses_word_boundaries() {
-        let mut b = BitWindow::with_capacity(130);
-        for i in 0..130 {
-            assert_eq!(b.push(i % 3 == 0), None);
-        }
-        // Evictions now replay the pushed pattern in order.
-        for i in 0..130 {
-            let evicted = b.push(false);
-            assert_eq!(evicted, Some(i % 3 == 0), "bit {i}");
-        }
-    }
-
-    #[test]
-    fn bit_window_clear() {
-        let mut b = BitWindow::with_capacity(4);
-        b.push(true);
-        b.push(true);
-        b.clear();
-        assert!(b.is_empty());
-        assert_eq!(b.push(true), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn bit_window_zero_capacity_panics() {
-        let _ = BitWindow::with_capacity(0);
     }
 }

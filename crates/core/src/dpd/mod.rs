@@ -15,11 +15,13 @@
 //!
 //! Three pieces live here:
 //!
-//! * [`distance`] — offline reference implementation of the metric plus the
-//!   bit-window used by the incremental detector.
-//! * [`detector`] — [`PeriodicityDetector`], an O(M)-per-observation
-//!   incremental implementation ("circular lists", §4.2) with optional
-//!   mismatch tolerance for noisy physical streams.
+//! * [`distance`] — offline reference implementation of the metric.
+//! * [`detector`] — [`PeriodicityDetector`], an incremental implementation
+//!   ("circular lists", §4.2) with optional mismatch tolerance for noisy
+//!   physical streams. It keeps one 16-bit mismatch counter per lag and
+//!   updates them with two compare passes over the retained history per
+//!   observation, O(M) each; once the history is full, selection is a
+//!   minimum over those counters.
 //! * [`predictor`] — [`DpdPredictor`], the [`Predictor`](crate::predictors::Predictor)
 //!   built on top, including the majority-vote variant used in ablations.
 
@@ -27,6 +29,11 @@ pub mod detector;
 pub mod distance;
 pub mod predictor;
 
+#[cfg(test)]
+mod differential;
+#[cfg(test)]
+mod reference;
+
 pub use detector::{DpdConfig, PeriodicityDetector};
-pub use distance::{distance_sign, mismatch_profile, BitWindow};
+pub use distance::{distance_sign, mismatch_profile};
 pub use predictor::{DpdPredictor, DpdPredictorState};

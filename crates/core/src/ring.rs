@@ -13,10 +13,15 @@ use crate::stream::Symbol;
 ///
 /// Pushing beyond capacity silently evicts the oldest element, which is
 /// exactly the sliding-window semantics the DPD needs.
+///
+/// Symbols are stored newest-first: a push moves the head one slot
+/// *down*, so any run of recent symbols, read newest-first, is at most
+/// two forward-running slices of the buffer — the layout the detector's
+/// per-lag compare loops scan.
 #[derive(Debug, Clone)]
 pub struct Ring {
     buf: Box<[Symbol]>,
-    /// Index of the slot that will receive the next push.
+    /// Index of the most recent symbol (meaningless while empty).
     head: usize,
     /// Number of valid elements (saturates at `buf.len()`).
     len: usize,
@@ -42,11 +47,12 @@ impl Ring {
     /// Appends `v`, evicting the oldest element if the ring is full.
     #[inline]
     pub fn push(&mut self, v: Symbol) {
+        self.head = if self.head == 0 {
+            self.buf.len() - 1
+        } else {
+            self.head - 1
+        };
         self.buf[self.head] = v;
-        self.head += 1;
-        if self.head == self.buf.len() {
-            self.head = 0;
-        }
         if self.len < self.buf.len() {
             self.len += 1;
         }
@@ -85,12 +91,10 @@ impl Ring {
         if back >= self.len {
             return None;
         }
-        // head is one past the most recent element. `back < len <= cap`
-        // keeps the unwrapped index below 2·cap, so one conditional
-        // subtract replaces the modulo — an integer division the
-        // detector would otherwise pay per lag per event.
+        // `head < cap` and `back < len <= cap` keep the unwrapped index
+        // below 2·cap, so one conditional subtract replaces the modulo.
         let cap = self.buf.len();
-        let mut idx = self.head + cap - 1 - back;
+        let mut idx = self.head + back;
         if idx >= cap {
             idx -= cap;
         }
@@ -99,23 +103,34 @@ impl Ring {
 
     /// Iterates stored symbols newest-first (`recent(0)`, `recent(1)`,
     /// …) without per-element index arithmetic: the ring is walked as
-    /// two contiguous slices. This is the detector's per-event scan —
-    /// one comparison partner per candidate lag.
+    /// two contiguous slices.
     #[inline]
     pub fn iter_recent(&self) -> impl Iterator<Item = Symbol> + '_ {
-        // Newest-first: positions head-1 .. 0, then (wrapped) cap-1 ..
-        // head. Before the first wrap head == len, so the second slice
-        // is empty.
-        let wrapped = if self.len == self.buf.len() {
-            &self.buf[self.head..]
+        let (near, far) = self.recent_slices(0, self.len);
+        near.iter().chain(far).copied()
+    }
+
+    /// `recent(skip)`, `recent(skip + 1)`, … for up to `n` symbols (fewer
+    /// when the history runs out), as two forward-running slices: the
+    /// second continues the first after the buffer wraps and is often
+    /// empty.
+    #[inline]
+    pub(crate) fn recent_slices(&self, skip: usize, n: usize) -> (&[Symbol], &[Symbol]) {
+        let n = n.min(self.len.saturating_sub(skip));
+        if n == 0 {
+            return (&[], &[]);
+        }
+        let cap = self.buf.len();
+        let mut start = self.head + skip;
+        if start >= cap {
+            start -= cap;
+        }
+        let end = start + n;
+        if end <= cap {
+            (&self.buf[start..end], &[])
         } else {
-            &self.buf[..0]
-        };
-        self.buf[..self.head]
-            .iter()
-            .rev()
-            .chain(wrapped.iter().rev())
-            .copied()
+            (&self.buf[start..], &self.buf[..end - cap])
+        }
     }
 
     /// The `i`-th oldest stored value (`oldest(0)` is the oldest).
@@ -239,6 +254,27 @@ mod tests {
             let indexed: Vec<Symbol> = (0..r.len()).map(|b| r.recent(b).unwrap()).collect();
             assert_eq!(walked, indexed, "after {pushes} pushes");
             assert_eq!(walked.len(), r.len());
+        }
+    }
+
+    #[test]
+    fn recent_slices_match_indexed_access() {
+        // Below capacity, at capacity, and after wrapping, for every
+        // window into the history, including ones running past its end.
+        for pushes in [0usize, 3, 5, 7, 13] {
+            let mut r = Ring::with_capacity(5);
+            for v in 0..pushes as u64 {
+                r.push(v);
+            }
+            for skip in 0..7 {
+                for n in 0..7 {
+                    let (near, far) = r.recent_slices(skip, n);
+                    let walked: Vec<Symbol> = near.iter().chain(far).copied().collect();
+                    let indexed: Vec<Symbol> =
+                        (skip..skip + n).map_while(|b| r.recent(b)).collect();
+                    assert_eq!(walked, indexed, "{pushes} pushes, skip {skip}, n {n}");
+                }
+            }
         }
     }
 

@@ -50,7 +50,7 @@ use crate::metrics::{EngineMetrics, JobMetrics, ModelStats, ShardMetrics};
 use crate::oplog::DurabilityConfig;
 use crate::shard::Shard;
 use crate::snapshot::{
-    decode_engine, decode_job, encode_engine, encode_job, EngineSnapshot, JobSnapshot,
+    decode_engine_for, decode_job_for, encode_engine, encode_job, EngineSnapshot, JobSnapshot,
     SnapshotError, StreamState,
 };
 use crate::types::{JobId, Observation, Query, RankId, StreamKey, DEFAULT_JOB};
@@ -328,6 +328,7 @@ impl EngineConfig {
             self.observe_queue_cap != Some(0),
             "observe_queue_cap must be positive (use None for unbounded lanes)"
         );
+        self.dpd.validate();
         self.ensemble.validate();
         if let Some(d) = &self.durability {
             d.validate();
@@ -777,26 +778,14 @@ impl Engine {
     /// match the snapshot's shard count, TTL, and DPD parameters
     /// ([`SnapshotError::ConfigMismatch`] otherwise — stream placement
     /// and predictor behaviour hang off them); transport knobs
-    /// (threshold, queue caps, telemetry) are free to differ. The
+    /// (threshold, queue caps, telemetry) are free to differ. A stream
+    /// record that cannot be restored as it stands is
+    /// [`SnapshotError::Malformed`], found before anything is built. The
     /// restored engine continues bit-identically to the one snapshot:
     /// every later prediction, metric, and eviction decision matches an
     /// uninterrupted run over the same events.
     pub fn restore(cfg: EngineConfig, bytes: &[u8]) -> Result<Engine, SnapshotError> {
-        let snap = decode_engine(bytes)?;
-        crate::snapshot::check_config(
-            &crate::snapshot::ConfigKey {
-                shards: Some(snap.shards),
-                ttl: snap.ttl,
-                dpd: &snap.dpd,
-                ensemble: &snap.ensemble,
-            },
-            &crate::snapshot::ConfigKey {
-                shards: Some(cfg.shards as u32),
-                ttl: cfg.ttl,
-                dpd: &cfg.dpd,
-                ensemble: &cfg.ensemble,
-            },
-        )?;
+        let snap = decode_engine_for(bytes, &cfg)?;
         let mut eng = Engine::new(cfg);
         eng.clock = snap.clock;
         eng.job_clocks = snap.job_clocks.iter().copied().collect();
@@ -843,23 +832,11 @@ impl Engine {
     /// Restores a job from an [`Engine::snapshot_job`] blob, replacing
     /// any state this engine already held for it, and returns the job
     /// id and how many streams were installed. Streams are partitioned
-    /// by *this* engine's shard count.
+    /// by *this* engine's shard count. Every stream record is checked
+    /// before the job's current state is replaced
+    /// ([`SnapshotError::Malformed`] otherwise).
     pub fn restore_job(&mut self, bytes: &[u8]) -> Result<(JobId, usize), SnapshotError> {
-        let snap = decode_job(bytes)?;
-        crate::snapshot::check_config(
-            &crate::snapshot::ConfigKey {
-                shards: None,
-                ttl: snap.ttl,
-                dpd: &snap.dpd,
-                ensemble: &snap.ensemble,
-            },
-            &crate::snapshot::ConfigKey {
-                shards: Some(self.shards.len() as u32),
-                ttl: self.cfg.ttl,
-                dpd: &self.cfg.dpd,
-                ensemble: &self.cfg.ensemble,
-            },
-        )?;
+        let snap = decode_job_for(bytes, &self.cfg)?;
         let job = snap.job;
         for shard in &mut self.shards {
             shard.extract_job(job);

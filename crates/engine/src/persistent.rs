@@ -100,8 +100,8 @@ use crate::metrics::{
 use crate::oplog::{self, WalWriter};
 use crate::shard::Shard;
 use crate::snapshot::{
-    check_config, decode_engine, decode_job, encode_engine, encode_job, ConfigKey, EngineSnapshot,
-    JobSnapshot, ShardState, SnapshotError, StreamState,
+    decode_engine_for, decode_job_for, encode_engine, encode_job, EngineSnapshot, JobSnapshot,
+    ShardState, SnapshotError, StreamState,
 };
 use crate::types::{JobId, Observation, Query, RankId, StreamKey, DEFAULT_JOB};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
@@ -1041,7 +1041,9 @@ impl PersistentEngine {
     /// registry, then ships each worker its shard's serialized state.
     /// `cfg` must match the snapshot's shard count, TTL, and DPD
     /// parameters ([`SnapshotError::ConfigMismatch`] otherwise);
-    /// transport knobs are free to differ. Panics like
+    /// transport knobs are free to differ. Every stream record is
+    /// checked before any worker starts ([`SnapshotError::Malformed`]
+    /// otherwise), so no worker can die on restored state. Panics like
     /// [`PersistentEngine::new`] if a worker thread cannot be spawned.
     ///
     /// With [`EngineConfig::durability`] set, existing log artifacts
@@ -1051,21 +1053,7 @@ impl PersistentEngine {
     /// building block; callers restoring a snapshot unrelated to the
     /// directory's log should point durability at a fresh directory.
     pub fn restore(cfg: EngineConfig, bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let snap = decode_engine(bytes)?;
-        check_config(
-            &ConfigKey {
-                shards: Some(snap.shards),
-                ttl: snap.ttl,
-                dpd: &snap.dpd,
-                ensemble: &snap.ensemble,
-            },
-            &ConfigKey {
-                shards: Some(cfg.shards as u32),
-                ttl: cfg.ttl,
-                dpd: &cfg.dpd,
-                ensemble: &cfg.ensemble,
-            },
-        )?;
+        let snap = decode_engine_for(bytes, &cfg)?;
         let eng = Self::try_spawn(cfg).unwrap_or_else(|e| panic!("{e}"));
         eng.inner.clock.store(snap.clock, Ordering::Relaxed);
         {
@@ -2122,23 +2110,11 @@ impl EngineClient {
     /// [`crate::Engine::snapshot_job`] blob, replacing any state the
     /// engine already held for it, and returns the job id and how many
     /// streams were installed. Streams re-partition by *this* engine's
-    /// shard count; only TTL and DPD parameters must match.
+    /// shard count; only TTL and DPD parameters must match. Every stream
+    /// record is checked before any shard's state is replaced
+    /// ([`SnapshotError::Malformed`] otherwise).
     pub fn restore_job(&self, bytes: &[u8]) -> Result<(JobId, usize), SnapshotError> {
-        let snap = decode_job(bytes)?;
-        check_config(
-            &ConfigKey {
-                shards: None,
-                ttl: snap.ttl,
-                dpd: &snap.dpd,
-                ensemble: &snap.ensemble,
-            },
-            &ConfigKey {
-                shards: Some(self.inner.senders.len() as u32),
-                ttl: self.inner.cfg.ttl,
-                dpd: &self.inner.cfg.dpd,
-                ensemble: &self.inner.cfg.ensemble,
-            },
-        )?;
+        let snap = decode_job_for(bytes, &self.inner.cfg)?;
         let job = snap.job;
         let nshards = self.inner.senders.len();
         let mut legs: Vec<Vec<StreamState>> = vec![Vec::new(); nshards];
@@ -2214,6 +2190,24 @@ mod tests {
 
     fn engine(shards: usize) -> PersistentEngine {
         PersistentEngine::new(EngineConfig::with_shards(shards))
+    }
+
+    /// An invalid detector config fails where the engine is built, on
+    /// the caller's thread, not on a shard worker at its first stream.
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn zero_detector_window_panics_at_construction() {
+        let mut cfg = EngineConfig::with_shards(1);
+        cfg.dpd.window = 0;
+        let _ = PersistentEngine::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "window must not exceed 65535")]
+    fn oversized_detector_window_panics_at_construction() {
+        let mut cfg = EngineConfig::with_shards(1);
+        cfg.dpd.window = 65_536;
+        let _ = PersistentEngine::new(cfg);
     }
 
     #[test]

@@ -1106,9 +1106,10 @@ impl Shard {
 
     /// Rebuilds a slot from its serialized state, bit-identical to the
     /// one [`Shard::export_stream`] read. The ensemble members hydrate
-    /// through their word codecs; `check_config` has already matched
-    /// the roster, and the payload survived the frame checksum, so a
-    /// hydrate failure here means the snapshot lied about itself.
+    /// through their word codecs. Every restore path decodes through
+    /// `decode_engine_for` or `decode_job_for`, which checked the
+    /// record against the roster and hydrated each member once, so
+    /// nothing here can fail.
     fn rebuild_slot(&self, s: &StreamState, job_idx: u32) -> StreamSlot {
         let mut interner = SymbolMap::new();
         for &sym in &s.symbols {

@@ -57,11 +57,12 @@
 //! (queue caps, backpressure, parallelism thresholds — free to differ
 //! across the cut).
 
-use crate::engine::EnsembleConfig;
+use crate::engine::{EngineConfig, EnsembleConfig};
 use crate::metrics::{JobMetrics, ModelStats, ShardMetrics};
 use crate::types::{JobId, StreamKey, StreamKind};
+use fxhash::FxHashSet;
 use mpp_core::dpd::DpdConfig;
-use mpp_core::{DpdPredictorState, PredictorKind};
+use mpp_core::{DpdPredictorState, Model, Predictor, PredictorKind, SymbolMap, WordCursor};
 
 /// Leading magic of every snapshot frame.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"MPPSNAP\0";
@@ -116,8 +117,11 @@ pub enum SnapshotError {
         /// byte.
         offset: usize,
     },
-    /// The payload decodes but describes an impossible structure
-    /// (bad enum tag, count overflow).
+    /// The payload decodes but describes an impossible structure (bad
+    /// enum tag, count overflow), or a stream record that cannot be
+    /// restored as it stands (a detector history longer than its ring,
+    /// an id that was never interned, challenger state that does not
+    /// hydrate, a stream outside its job, a key stored twice).
     Malformed(&'static str),
     /// The snapshot is valid but does not fit the target: wrong scope,
     /// shard count, TTL, or DPD parameters.
@@ -908,16 +912,16 @@ pub(crate) fn decode_job(bytes: &[u8]) -> Result<JobSnapshot, SnapshotError> {
 /// The predictive-state parts of one side of a config comparison — a
 /// snapshot header or a live engine's config. `shards` is `None` for
 /// job-scoped snapshots, which re-partition freely on restore.
-pub(crate) struct ConfigKey<'a> {
-    pub shards: Option<u32>,
-    pub ttl: Option<u64>,
-    pub dpd: &'a DpdConfig,
-    pub ensemble: &'a EnsembleConfig,
+struct ConfigKey<'a> {
+    shards: Option<u32>,
+    ttl: Option<u64>,
+    dpd: &'a DpdConfig,
+    ensemble: &'a EnsembleConfig,
 }
 
 /// Compares the predictive-state parts of two configs, naming the first
 /// difference. Shard counts are checked only when both sides carry one.
-pub(crate) fn check_config(snap: &ConfigKey, cfg: &ConfigKey) -> Result<(), SnapshotError> {
+fn check_config(snap: &ConfigKey, cfg: &ConfigKey) -> Result<(), SnapshotError> {
     if let (Some(s), Some(c)) = (snap.shards, cfg.shards) {
         if s != c {
             return Err(SnapshotError::ConfigMismatch(format!(
@@ -942,6 +946,144 @@ pub(crate) fn check_config(snap: &ConfigKey, cfg: &ConfigKey) -> Result<(), Snap
         ));
     }
     Ok(())
+}
+
+/// Decodes a whole-engine snapshot and checks that it fits an engine
+/// built from `cfg`: first the config fingerprint, then every stream
+/// record. Every restore path calls this (or [`decode_job_for`]) before
+/// it builds or replaces any engine state, so a snapshot that fails
+/// leaves the target untouched, and one that passes restores without
+/// panicking on any engine thread.
+pub(crate) fn decode_engine_for(
+    bytes: &[u8],
+    cfg: &EngineConfig,
+) -> Result<EngineSnapshot, SnapshotError> {
+    let snap = decode_engine(bytes)?;
+    check_config(
+        &ConfigKey {
+            shards: Some(snap.shards),
+            ttl: snap.ttl,
+            dpd: &snap.dpd,
+            ensemble: &snap.ensemble,
+        },
+        &ConfigKey {
+            shards: Some(cfg.shards as u32),
+            ttl: cfg.ttl,
+            dpd: &cfg.dpd,
+            ensemble: &cfg.ensemble,
+        },
+    )?;
+    for st in &snap.shard_states {
+        let jobs: FxHashSet<JobId> = st.jobs.iter().map(|&(job, ..)| job).collect();
+        let mut keys = FxHashSet::default();
+        for s in &st.streams {
+            if !jobs.contains(&s.key.job) {
+                return Err(SnapshotError::Malformed(
+                    "stream's job is not in its shard's job list",
+                ));
+            }
+            if !keys.insert(s.key) {
+                return Err(SnapshotError::Malformed("stream key appears twice"));
+            }
+            check_stream(s, &snap.dpd, &snap.ensemble)?;
+        }
+    }
+    Ok(snap)
+}
+
+/// Decodes a job-scoped snapshot and checks that it fits an engine
+/// built from `cfg` (TTL, DPD parameters and roster; the shard count is
+/// free) and that every stream record belongs to the job and restores.
+/// See [`decode_engine_for`].
+pub(crate) fn decode_job_for(
+    bytes: &[u8],
+    cfg: &EngineConfig,
+) -> Result<JobSnapshot, SnapshotError> {
+    let snap = decode_job(bytes)?;
+    check_config(
+        &ConfigKey {
+            shards: None,
+            ttl: snap.ttl,
+            dpd: &snap.dpd,
+            ensemble: &snap.ensemble,
+        },
+        &ConfigKey {
+            shards: None,
+            ttl: cfg.ttl,
+            dpd: &cfg.dpd,
+            ensemble: &cfg.ensemble,
+        },
+    )?;
+    let mut keys = FxHashSet::default();
+    for s in &snap.streams {
+        if s.key.job != snap.job {
+            return Err(SnapshotError::Malformed(
+                "stream belongs to another job than its snapshot",
+            ));
+        }
+        if !keys.insert(s.key) {
+            return Err(SnapshotError::Malformed("stream key appears twice"));
+        }
+        check_stream(s, &snap.dpd, &snap.ensemble)?;
+    }
+    Ok(snap)
+}
+
+/// Checks what rebuilding one stream slot assumes beyond the framing:
+/// the detector history fits its ring, every dense id the record names
+/// was interned, and the challenger states match the roster and
+/// hydrate. `det_observations` is not compared with the history: the
+/// detector's comparison counts follow the history's length alone.
+fn check_stream(
+    s: &StreamState,
+    dpd: &DpdConfig,
+    ensemble: &EnsembleConfig,
+) -> Result<(), SnapshotError> {
+    let p = &s.predictor;
+    if p.history.len() > dpd.window.saturating_add(dpd.max_lag) {
+        return Err(SnapshotError::Malformed(
+            "dpd history is longer than the detector's ring",
+        ));
+    }
+    if p.history_total < p.history.len() as u64 {
+        return Err(SnapshotError::Malformed(
+            "dpd history is longer than its lifetime push count",
+        ));
+    }
+    let mut interner = SymbolMap::new();
+    for &sym in &s.symbols {
+        interner.intern(sym);
+    }
+    if interner.len() != s.symbols.len() {
+        return Err(SnapshotError::Malformed("stream interns a symbol twice"));
+    }
+    let ids = s.symbols.len() as u64;
+    if p.history.iter().chain(&s.pending_next).any(|&id| id >= ids) {
+        return Err(SnapshotError::Malformed(
+            "dpd state names a symbol the stream never interned",
+        ));
+    }
+    match (&s.ensemble, ensemble.enabled()) {
+        (None, false) => Ok(()),
+        (Some(es), true) if es.members.len() == ensemble.challengers.len() => {
+            for (m, &kind) in es.members.iter().zip(&ensemble.challengers) {
+                if m.kind_tag != kind.tag() {
+                    return Err(SnapshotError::Malformed(
+                        "challenger kind disagrees with the roster",
+                    ));
+                }
+                let mut cur = WordCursor::new(&m.words);
+                Model::build(kind, dpd)
+                    .hydrate_words(&mut cur)
+                    .and_then(|()| cur.finish())
+                    .map_err(|_| SnapshotError::Malformed("challenger state does not hydrate"))?;
+            }
+            Ok(())
+        }
+        _ => Err(SnapshotError::Malformed(
+            "stream's ensemble state disagrees with the roster",
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -1206,5 +1348,161 @@ mod tests {
         };
         let e = check_config(&side(None, None, &dpd, &other_ens), &engine4).unwrap_err();
         assert!(e.to_string().contains("ensemble"), "{e}");
+    }
+
+    // -----------------------------------------------------------------
+    // Well-framed snapshots whose stream records cannot be restored as
+    // they stand: every restore path rejects them with `Malformed`
+    // before any engine state is built or replaced.
+    // -----------------------------------------------------------------
+
+    use crate::engine::Engine;
+    use crate::persistent::PersistentEngine;
+
+    /// A two-shard engine with the standard ensemble, holding jobs 1
+    /// and 2 on four ranks each, and its config.
+    fn trained_engine() -> (EngineConfig, Engine) {
+        let cfg = EngineConfig::with_shards(2).with_ensemble(EnsembleConfig::standard());
+        let mut eng = Engine::new(cfg.clone());
+        for i in 0..300u64 {
+            for job in [1, 2] {
+                for rank in 0..4u32 {
+                    let key = StreamKey::for_job(job, rank, StreamKind::Sender);
+                    eng.observe(key, (i + u64::from(rank)) % 5);
+                }
+            }
+        }
+        (cfg, eng)
+    }
+
+    /// Spoils job 1's stream records with `spoil`, which gets the list
+    /// holding them and the index of one, and restores the result
+    /// everywhere a snapshot enters an engine: the engine snapshot into
+    /// a scoped and a persistent engine, and job 1's snapshot through
+    /// `restore_job` into scoped and persistent engines that already
+    /// hold job 1. Each must fail with `Malformed(engine_msg)` or
+    /// `Malformed(job_msg)`, and the job targets must keep serving
+    /// their old state.
+    fn assert_rejected(
+        engine_msg: &str,
+        job_msg: &str,
+        spoil: impl Fn(&mut Vec<StreamState>, usize),
+    ) {
+        let (cfg, eng) = trained_engine();
+        let good = eng.snapshot();
+        let malformed = |r: Result<(), SnapshotError>, msg: &str| match r {
+            Err(SnapshotError::Malformed(m)) => assert_eq!(m, msg),
+            other => panic!("expected Malformed({msg:?}), got {other:?}"),
+        };
+
+        let mut snap = decode_engine(&good).unwrap();
+        let (streams, i) = snap
+            .shard_states
+            .iter_mut()
+            .find_map(|st| {
+                let i = st.streams.iter().position(|s| s.key.job == 1)?;
+                Some((&mut st.streams, i))
+            })
+            .expect("job 1 has streams");
+        spoil(streams, i);
+        let bytes = encode_engine(&snap);
+        malformed(Engine::restore(cfg.clone(), &bytes).map(drop), engine_msg);
+        malformed(
+            PersistentEngine::restore(cfg.clone(), &bytes).map(drop),
+            engine_msg,
+        );
+
+        let mut job = decode_job(&eng.snapshot_job(1)).unwrap();
+        spoil(&mut job.streams, 0);
+        let bytes = encode_job(&job);
+        let key = StreamKey::for_job(1, 0, StreamKind::Sender);
+        let expect = Engine::restore(cfg.clone(), &good).unwrap().predict(key, 1);
+        let mut scoped = Engine::restore(cfg.clone(), &good).unwrap();
+        malformed(scoped.restore_job(&bytes).map(drop), job_msg);
+        assert_eq!(scoped.stream_count(), eng.stream_count());
+        assert_eq!(scoped.predict(key, 1), expect);
+        let persistent = PersistentEngine::restore(cfg, &good).unwrap();
+        let client = persistent.client();
+        malformed(client.restore_job(&bytes).map(drop), job_msg);
+        assert_eq!(client.stream_count(), eng.stream_count());
+        assert_eq!(client.predict(key, 1), expect);
+    }
+
+    #[test]
+    fn restore_rejects_a_history_longer_than_the_ring() {
+        let msg = "dpd history is longer than the detector's ring";
+        assert_rejected(msg, msg, |streams, i| {
+            let p = &mut streams[i].predictor;
+            let cap = DpdConfig::default().window + DpdConfig::default().max_lag;
+            p.history.resize(cap + 1, 0);
+            p.history_total = p.history_total.max(cap as u64 + 1);
+        });
+    }
+
+    #[test]
+    fn restore_rejects_history_ids_that_were_never_interned() {
+        let msg = "dpd state names a symbol the stream never interned";
+        assert_rejected(msg, msg, |streams, i| {
+            let s = &mut streams[i];
+            let last = s.predictor.history.len() - 1;
+            s.predictor.history[last] = s.symbols.len() as u64;
+        });
+    }
+
+    #[test]
+    fn restore_rejects_challenger_words_that_do_not_hydrate() {
+        let msg = "challenger state does not hydrate";
+        assert_rejected(msg, msg, |streams, i| {
+            let ens = streams[i].ensemble.as_mut().expect("standard ensemble");
+            ens.members[0].words.clear();
+        });
+    }
+
+    #[test]
+    fn restore_rejects_a_stream_outside_its_jobs() {
+        assert_rejected(
+            "stream's job is not in its shard's job list",
+            "stream belongs to another job than its snapshot",
+            |streams, i| {
+                let key = streams[i].key;
+                streams[i].key = StreamKey::for_job(99, key.rank, key.kind);
+            },
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_stream_key_stored_twice() {
+        let msg = "stream key appears twice";
+        assert_rejected(msg, msg, |streams, i| {
+            let twin = streams[i].clone();
+            streams.push(twin);
+        });
+    }
+
+    #[test]
+    fn restore_rejects_records_that_contradict_themselves() {
+        type Spoil = dyn Fn(&mut Vec<StreamState>, usize);
+        let cases: [(&str, &Spoil); 3] = [
+            (
+                "dpd history is longer than its lifetime push count",
+                &|streams, i| streams[i].predictor.history_total = 0,
+            ),
+            ("stream interns a symbol twice", &|streams, i| {
+                let s = &mut streams[i];
+                s.symbols.push(s.symbols[0]);
+            }),
+            (
+                "stream's ensemble state disagrees with the roster",
+                &|streams, i| {
+                    let ens = streams[i].ensemble.as_mut().expect("standard ensemble");
+                    ens.members.pop();
+                    ens.window_hits.pop();
+                    ens.champion = 0;
+                },
+            ),
+        ];
+        for (msg, spoil) in cases {
+            assert_rejected(msg, msg, spoil);
+        }
     }
 }
