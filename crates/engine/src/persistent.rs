@@ -26,7 +26,12 @@
 //!   exactly the guarantee (and non-guarantee) the old mutex gave.
 //! * **Zero-ish allocation.** Batch legs travel in `Vec`s recycled
 //!   back to the submitting client through a return channel, so the
-//!   steady state reuses buffers instead of allocating per batch.
+//!   steady state reuses buffers instead of allocating per batch. A
+//!   buffer returns to the pool slot of the shard it served, and each
+//!   reply drains the return channel, so once every shard has answered
+//!   a query the client holds one buffer per shard, the largest that
+//!   shard's legs came back in: its footprint at a quiet point follows
+//!   from the batches it sent, not from how far the workers lagged.
 //! * **Eviction.** With [`EngineConfig::ttl`] set, legs carry per-event
 //!   stamps drawn from **per-job atomic clocks** in a shared registry: a
 //!   batch reserves one contiguous stamp range per job it touches (one
@@ -291,12 +296,12 @@ impl LaneStats {
     }
 }
 
-/// Per-buffer retention bound for the client leg pools, in events
-/// (plain legs: 16 B/event, stamped: 24 B/event, so ≤ ~1.5 MiB per
+/// Per-buffer retention bound for the client leg pool, in events
+/// (plain legs: 24 B/event, stamped: 32 B/event, so ≤ 2 MiB per
 /// pooled buffer). A recycled buffer grown past this is dropped rather
-/// than pooled; together with the pool-entry cap (`shard_count`
-/// buffers per pool) this bounds a client's steady-state pool memory
-/// no matter how large a burst it once submitted.
+/// than pooled; together with the pool's one slot per shard this
+/// bounds a client's steady-state pool memory no matter how large a
+/// burst it once submitted.
 const POOL_MAX_EVENT_CAP: usize = 1 << 16;
 
 /// An observe leg: either raw events (no TTL: stamps are not needed
@@ -315,6 +320,14 @@ impl Leg {
         }
     }
 
+    /// Events the leg's buffer holds without growing.
+    fn capacity(&self) -> usize {
+        match self {
+            Leg::Plain(events) => events.capacity(),
+            Leg::Stamped(events) => events.capacity(),
+        }
+    }
+
     /// Job of the leg's first event — the attribution used for lane
     /// flight events. Legs are per-shard and may interleave jobs; the
     /// first event's job is the best single attribution available
@@ -330,14 +343,15 @@ impl Leg {
 /// One command in a shard worker's queue.
 enum ShardCmd {
     /// Fire-and-forget batch leg. `now` is engine time after the whole
-    /// batch; the emptied buffer is handed back through `recycle`.
+    /// batch; the emptied buffer is handed back through `recycle`,
+    /// tagged with the worker's shard.
     /// `sent_at` is set only when telemetry is enabled: the worker turns
     /// it into the leg's `queue_wait_ns` sample on drain (submit→drain,
     /// so a `Block`-mode park on a full lane is included in the wait).
     Observe {
         leg: Leg,
         now: u64,
-        recycle: Sender<Leg>,
+        recycle: Sender<(usize, Leg)>,
         sent_at: Option<Instant>,
     },
     /// Synchronous request; the worker answers on `reply` echoing
@@ -709,7 +723,7 @@ fn worker_loop(
                 }
                 // The submitting client may already be gone; its buffer
                 // is then simply dropped.
-                let _ = recycle.send(empty);
+                let _ = recycle.send((shard_id as usize, empty));
             }
             ShardCmd::Query { epoch, reply, body } => {
                 let body = match body {
@@ -1203,8 +1217,7 @@ impl PersistentEngine {
             recycle_tx,
             recycle_rx,
             epoch: Cell::new(0),
-            plain_pool: RefCell::new(Vec::new()),
-            stamped_pool: RefCell::new(Vec::new()),
+            leg_pool: RefCell::new((0..self.inner.senders.len()).map(|_| None).collect()),
             legs_scratch: RefCell::new(Vec::new()),
             job_clock_cache: RefCell::new(FxHashMap::default()),
             stamp_cursors: RefCell::new(Vec::new()),
@@ -1219,12 +1232,14 @@ pub struct EngineClient {
     inner: Arc<Inner>,
     reply_tx: Sender<Reply>,
     reply_rx: Receiver<Reply>,
-    recycle_tx: Sender<Leg>,
-    recycle_rx: Receiver<Leg>,
+    recycle_tx: Sender<(usize, Leg)>,
+    recycle_rx: Receiver<(usize, Leg)>,
     /// Stamp of the most recent request on this lane.
     epoch: Cell<u64>,
-    plain_pool: RefCell<Vec<Vec<Observation>>>,
-    stamped_pool: RefCell<Vec<Vec<(Observation, u64)>>>,
+    /// One idle leg buffer per shard, indexed by shard: the largest
+    /// buffer that shard's legs have come back in (see
+    /// [`EngineClient::keep_larger`]).
+    leg_pool: RefCell<Vec<Option<Leg>>>,
     /// Per-shard partition scratch reused across `observe_batch` calls
     /// (entries are `take`n when sent, leaving `None`s behind).
     legs_scratch: RefCell<Vec<Option<Leg>>>,
@@ -1318,10 +1333,17 @@ impl EngineClient {
     /// the call must fail loudly, not hang forever. Workers only exit
     /// normally once every client is gone, so a finished worker here is
     /// always a dead one.
+    ///
+    /// A worker recycles each leg before it serves the next command, so
+    /// when a shard's reply arrives every leg sent to it earlier is on
+    /// the return lane; draining it here puts them back in the pool.
     fn recv_reply(&self) -> Reply {
         loop {
             match self.reply_rx.recv_timeout(Duration::from_millis(200)) {
-                Ok(r) => return r,
+                Ok(r) => {
+                    self.drain_recycled();
+                    return r;
+                }
                 Err(_timeout) => {
                     assert!(
                         !self.inner.workers.iter().any(JoinHandle::is_finished),
@@ -1332,37 +1354,51 @@ impl EngineClient {
         }
     }
 
-    /// Hands a buffer back to a pool, enforcing the memory bounds: a
-    /// pool retains at most one full batch's worth of legs
-    /// (`shard_count` buffers), and never a buffer grown past
-    /// [`POOL_MAX_EVENT_CAP`] events — a burst of giant batches is
-    /// released to the allocator instead of pinning peak memory in the
-    /// pool forever.
-    fn pool_push<T>(pool: &RefCell<Vec<Vec<T>>>, buf: Vec<T>, max_buffers: usize) {
-        if buf.capacity() > POOL_MAX_EVENT_CAP {
+    /// Puts a finished leg's buffer in a shard's pool slot, enforcing
+    /// the memory bounds: the slot keeps one buffer, the larger of the
+    /// two, and never one grown past [`POOL_MAX_EVENT_CAP`] events — a
+    /// burst of giant batches is released to the allocator instead of
+    /// pinning peak memory in the pool forever. Keeping the larger
+    /// buffer means the slot ends up fitting the largest leg its shard
+    /// has had, whichever buffer happened to carry it.
+    fn keep_larger(slot: &mut Option<Leg>, leg: Leg) {
+        if leg.capacity() > POOL_MAX_EVENT_CAP {
             return;
         }
-        let mut pool = pool.borrow_mut();
-        if pool.len() < max_buffers {
-            pool.push(buf);
+        if slot
+            .as_ref()
+            .is_none_or(|kept| kept.capacity() < leg.capacity())
+        {
+            *slot = Some(leg);
         }
     }
 
-    /// Routes a finished leg's buffer back to its pool through the
-    /// [`EngineClient::pool_push`] bounds — the single definition of
-    /// which pool a leg variant belongs to.
-    fn repool(&self, leg: Leg) {
-        let max_buffers = self.inner.senders.len();
-        match leg {
-            Leg::Plain(buf) => Self::pool_push(&self.plain_pool, buf, max_buffers),
-            Leg::Stamped(buf) => Self::pool_push(&self.stamped_pool, buf, max_buffers),
-        }
+    /// Hands a finished leg of shard `s` back to that shard's slot.
+    fn repool(&self, s: usize, leg: Leg) {
+        Self::keep_larger(&mut self.leg_pool.borrow_mut()[s], leg);
     }
 
-    /// Returns recycled buffers to the (bounded) pools.
+    /// Returns recycled buffers to the (bounded) pool.
     fn drain_recycled(&self) {
-        while let Ok(leg) = self.recycle_rx.try_recv() {
-            self.repool(leg);
+        while let Ok((s, leg)) = self.recycle_rx.try_recv() {
+            self.repool(s, leg);
+        }
+    }
+
+    /// An empty leg for shard `s`, in the pooled buffer when the slot
+    /// holds one of the right kind.
+    fn empty_leg(&self, s: usize, stamped: bool) -> Leg {
+        match (self.leg_pool.borrow_mut()[s].take(), stamped) {
+            (Some(Leg::Plain(mut buf)), false) => {
+                buf.clear();
+                Leg::Plain(buf)
+            }
+            (Some(Leg::Stamped(mut buf)), true) => {
+                buf.clear();
+                Leg::Stamped(buf)
+            }
+            (_, false) => Leg::Plain(Vec::new()),
+            (_, true) => Leg::Stamped(Vec::new()),
         }
     }
 
@@ -1451,7 +1487,7 @@ impl EngineClient {
                 let ShardCmd::Observe { leg, .. } = cmd else {
                     unreachable!("shed command is the observe we built")
                 };
-                self.repool(leg);
+                self.repool(s, leg);
                 Ok(false)
             }
         }
@@ -1520,17 +1556,7 @@ impl EngineClient {
         legs.resize_with(nshards, || None);
         for obs in batch {
             let s = shard_of_key(obs.key, nshards);
-            let leg = legs[s].get_or_insert_with(|| {
-                if stamped {
-                    let mut buf = self.stamped_pool.borrow_mut().pop().unwrap_or_default();
-                    buf.clear();
-                    Leg::Stamped(buf)
-                } else {
-                    let mut buf = self.plain_pool.borrow_mut().pop().unwrap_or_default();
-                    buf.clear();
-                    Leg::Plain(buf)
-                }
-            });
+            let leg = legs[s].get_or_insert_with(|| self.empty_leg(s, stamped));
             match leg {
                 Leg::Plain(buf) => buf.push(*obs),
                 Leg::Stamped(buf) => {
@@ -2392,14 +2418,20 @@ mod tests {
 
     #[test]
     fn leg_buffer_pools_are_bounded_in_count_and_capacity() {
-        // Direct bound checks on the pool gate.
-        let pool: RefCell<Vec<Vec<Observation>>> = RefCell::new(Vec::new());
-        EngineClient::pool_push(&pool, Vec::with_capacity(POOL_MAX_EVENT_CAP + 1), 8);
-        assert!(pool.borrow().is_empty(), "oversized buffer is released");
-        for _ in 0..5 {
-            EngineClient::pool_push(&pool, Vec::with_capacity(16), 2);
+        // Direct bound checks on the pool gate: a slot keeps one
+        // buffer, the larger, and releases an oversized one.
+        let mut slot = None;
+        let oversized = Leg::Plain(Vec::with_capacity(POOL_MAX_EVENT_CAP + 1));
+        EngineClient::keep_larger(&mut slot, oversized);
+        assert!(slot.is_none(), "oversized buffer is released");
+        for cap in [16, 64, 32] {
+            EngineClient::keep_larger(&mut slot, Leg::Plain(Vec::with_capacity(cap)));
         }
-        assert_eq!(pool.borrow().len(), 2, "entry count capped");
+        assert_eq!(
+            slot.as_ref().map(Leg::capacity),
+            Some(64),
+            "larger buffer kept"
+        );
 
         // End-to-end: a giant burst must not stay pooled.
         let eng = engine(1);
@@ -2408,14 +2440,59 @@ mod tests {
             .map(|i| Observation::new(skey(0), i as u64 % 3))
             .collect();
         client.observe_batch(&huge);
-        client.metrics_total(); // barrier: the leg has been recycled
-        client.observe_batch(&[Observation::new(skey(0), 1)]); // drains recycle lane
-        let pooled = client.plain_pool.borrow();
+        client.metrics_total(); // barrier: the leg has been recycled and drained
+        let pooled = client.leg_pool.borrow();
+        assert_eq!(pooled.len(), eng.shard_count(), "one slot per shard");
         assert!(
-            pooled.iter().all(|b| b.capacity() <= POOL_MAX_EVENT_CAP),
+            pooled.iter().all(Option::is_none),
             "pool retained an oversized buffer"
         );
-        assert!(pooled.len() <= eng.shard_count());
+    }
+
+    #[test]
+    fn leg_pool_settles_to_each_shards_largest_buffer() {
+        // However far the workers lag, and so however many buffers the
+        // client allocates and which legs they carry, a reply from
+        // every shard leaves one pooled buffer per shard, sized to that
+        // shard's largest leg, and nothing on the return lane.
+        for lag in [Duration::ZERO, Duration::from_millis(2)] {
+            let eng = engine(2);
+            let client = eng.client();
+            let rank_on = |s: usize| {
+                (0..64)
+                    .find(|&r| eng.shard_for(r) == s)
+                    .expect("a rank on every shard")
+            };
+            let (r0, r1) = (rank_on(0), rank_on(1));
+            for s in 0..2 {
+                eng.debug_throttle_worker(s, lag);
+            }
+            let mut sent = 0;
+            for i in 0..6 {
+                // Shard 0's legs peak at 100 events and shard 1's at
+                // 20, both mid-stream.
+                let n0 = if i == 3 { 100 } else { 30 };
+                let n1 = if i == 2 { 20 } else { 5 };
+                let batch: Vec<Observation> = (0..n0)
+                    .map(|v| Observation::new(skey(r0), v % 3))
+                    .chain((0..n1).map(|v| Observation::new(skey(r1), v % 2)))
+                    .collect();
+                client.observe_batch(&batch);
+                sent += batch.len() as u64;
+            }
+            for s in 0..2 {
+                eng.debug_throttle_worker(s, Duration::ZERO);
+            }
+            assert_eq!(client.metrics_total().events_ingested, sent);
+            let caps: Vec<Option<usize>> = client
+                .leg_pool
+                .borrow()
+                .iter()
+                .map(|leg| leg.as_ref().map(Leg::capacity))
+                .collect();
+            assert_eq!(caps, [Some(128), Some(32)], "lag {lag:?}");
+            assert!(client.recycle_rx.is_empty(), "lag {lag:?}");
+        }
     }
 
     #[test]
