@@ -3,26 +3,22 @@
 //!
 //! Two outputs:
 //!
-//! * criterion-style stdout lines for `observe_batch` (per execution
-//!   mode and shard count) and `predict_batch`;
-//! * `BENCH_engine.json` at the workspace root — events/sec per
-//!   (mode, shard count) measured directly with `Instant`, so later
-//!   PRs have a fixed perf trajectory file to diff (in the
+//! * criterion-style stdout lines for `observe_batch` and
+//!   `predict_batch` per shard count;
+//! * `BENCH_engine.json` at the workspace root — events/sec per shard
+//!   count measured directly with `Instant`, so later changes have a
+//!   fixed perf trajectory file to diff (in the
 //!   reproducible-benchmarking spirit of Hunold & Carpen-Amarie:
 //!   fixed workload, fixed seeds, machine parallelism recorded
 //!   alongside the numbers, best-of-`RUNS` to damp scheduler noise).
 //!
-//! The comparison that matters for the persistent-worker design: at
-//! every shard count, `"mode": "persistent"` (long-lived channel-fed
-//! workers) must not lose to `"mode": "scoped"` (threads spawned per
-//! batch) — the JSON records both so the regression is visible.
-//!
-//! Since the slab-backed stream tables (PR 5) the JSON also carries a
-//! `churn` section — eviction-heavy ingest throughput, per-event
-//! observe latency percentiles, and `evict_lru` cost at two resident-
-//! set sizes (which must stay flat: victim selection reads a bounded
-//! LRU window, never a full sort) — plus the PR 4 numbers under
-//! `baseline_pr4` so the speedup is auditable in one file.
+//! The JSON also carries a `churn` section measured on a bare
+//! [`Shard`] — eviction-heavy ingest throughput, per-event observe
+//! latency percentiles, and `evict_lru` cost at two resident-set sizes
+//! (which must stay flat: victim selection reads a bounded LRU window,
+//! never a full sort) — plus two embedded baselines, `baseline_pr4`
+//! (pre-slab) and `baseline_prior` (the previous committed run), so
+//! every delta is auditable in one file.
 //!
 //! `--smoke` (used by CI) runs every measurement path with tiny
 //! parameters and does **not** rewrite `BENCH_engine.json`: it keeps
@@ -32,8 +28,8 @@
 use criterion::{black_box, criterion_group, Criterion, Throughput};
 use mpp_core::dpd::DpdConfig;
 use mpp_engine::{
-    BackpressurePolicy, DurabilityConfig, Engine, EngineConfig, EnsembleConfig, FederatedEngine,
-    FederationConfig, FlushPolicy, Observation, PersistentEngine, Query, RebalanceConfig,
+    BackpressurePolicy, DurabilityConfig, EngineConfig, EnsembleConfig, FederatedEngine,
+    FederationConfig, FlushPolicy, Observation, PersistentEngine, Query, RebalanceConfig, Shard,
     StreamKey, StreamKind, TelemetryConfig,
 };
 use std::time::{Duration, Instant};
@@ -63,7 +59,7 @@ const FED_SHARDS: usize = 2;
 const REBALANCE_MEMBERS: usize = 2;
 /// Timed batches per measurement run.
 const TIMED_BATCHES: usize = 6;
-/// Measurement runs per (mode, shard count); best-of damps noise. On
+/// Measurement runs per shard count; best-of damps noise. On
 /// the shared 1-core measurement container, scheduler interference
 /// regularly costs a run 20–40%, so the best-of needs enough attempts
 /// to catch a quiet slice (interleaved A/B runs against the PR 4
@@ -131,9 +127,39 @@ const BASELINE_PR4: &str = r#"{
     "federation": {"1": 1132222, "2": 1100836, "4": 1111457}
   }"#;
 
-/// PR 4 single-shard rates, for the headline speedup ratios.
-const BASELINE_PR4_SCOPED_1SHARD: f64 = 1_149_737.0;
+/// PR 4 single-shard persistent rate, for the headline speedup ratio.
 const BASELINE_PR4_PERSISTENT_1SHARD: f64 = 1_181_987.0;
+
+/// The previous committed run's numbers (same workload and
+/// estimators), kept for the figures this bench still measures. That
+/// run predates the dense-counter detector and was taken on a 1-core
+/// container, so the ratios against it mix detector, core-count and
+/// engine changes. Its `churn` figures went through the old scoped
+/// engine's single-shard path, which drove one `Shard` directly — the
+/// unit the churn arms now drive.
+const BASELINE_PRIOR: &str = r#"{
+    "cores": 1,
+    "note": "previous committed run: written with the durable observation log, before the dense-counter detector, on a 1-core container; ratios against it are not attributable to one change",
+    "results": [
+      {"shards": 1, "queue_cap": null, "backpressure": "block", "events_per_sec": 1589893},
+      {"shards": 2, "queue_cap": null, "backpressure": "block", "events_per_sec": 1594422},
+      {"shards": 4, "queue_cap": null, "backpressure": "block", "events_per_sec": 2521766},
+      {"shards": 8, "queue_cap": null, "backpressure": "block", "events_per_sec": 2718095},
+      {"shards": 4, "queue_cap": 1, "backpressure": "block", "events_per_sec": 2617129},
+      {"shards": 4, "queue_cap": 8, "backpressure": "block", "events_per_sec": 2619448},
+      {"shards": 4, "queue_cap": 64, "backpressure": "block", "events_per_sec": 2607573}
+    ],
+    "federation": {"1": 1766637, "2": 1852971, "4": 1752650},
+    "rebalance": {"off": 2069938, "on": 1793716},
+    "churn": {"ttl_churn_events_per_sec": 1614474, "observe_latency_ns_per_event": {"p50": 1117, "p99": 1331}, "evict_lru_ns_per_victim": {"4096": 313, "32768": 487}},
+    "telemetry_overhead": {"off": 1647009, "on": 1661509},
+    "ensemble_overhead": {"dpd_only": 1617476, "standard_roster": 1149205},
+    "wal_overhead": {"off": 1274647, "every_batch": 1197013, "every_n_64": 1135704, "on_rotate": 1121127}
+  }"#;
+
+/// The previous committed run's unbounded ingest rates, indexed like
+/// [`SHARD_COUNTS`], for the per-shard-count ratios.
+const BASELINE_PRIOR_RESULTS: [f64; 4] = [1_589_893.0, 1_594_422.0, 2_521_766.0, 2_718_095.0];
 
 /// Deterministic multi-rank workload: every rank carries three periodic
 /// attribute streams with rank-dependent periods, interleaved
@@ -160,15 +186,6 @@ fn synthetic_batch() -> Vec<Observation> {
     out
 }
 
-fn config_with(shards: usize) -> EngineConfig {
-    EngineConfig {
-        // Threshold 0: measure the true parallel path even for the
-        // warm-up batch.
-        parallel_threshold: 0,
-        ..EngineConfig::with_shards(shards)
-    }
-}
-
 /// Turns the fastest completed batch into an events/sec rate. On the
 /// shared 1-core measurement container a single long timing window
 /// regularly loses 20–40% to scheduler interference; the fastest
@@ -182,36 +199,22 @@ fn best_batch_rate(events: usize, batch_times: impl Iterator<Item = Duration>) -
     events as f64 / fastest.as_secs_f64().max(1e-12)
 }
 
-/// Directly measured scoped-mode ingest rate (events/sec).
-fn measure_scoped(shards: usize, batch: &[Observation], tb: usize) -> f64 {
-    measure_scoped_cfg(config_with(shards), batch, tb)
-}
-
-fn measure_scoped_cfg(cfg: EngineConfig, batch: &[Observation], tb: usize) -> f64 {
-    let mut engine = Engine::new(cfg);
-    engine.observe_batch(batch); // warm: allocate slots, intern symbols
-    best_batch_rate(
-        batch.len(),
-        (0..tb).map(|_| {
-            let start = Instant::now();
-            engine.observe_batch(batch);
-            start.elapsed()
-        }),
-    )
-}
-
-/// Directly measured persistent-mode ingest rate (events/sec). The
-/// closing metrics round-trip queues behind every batch, so the timed
-/// window covers completed work, not just enqueued work.
+/// Directly measured ingest rate (events/sec). The closing metrics
+/// round-trip queues behind every batch, so the timed window covers
+/// completed work, not just enqueued work.
 fn measure_persistent(shards: usize, batch: &[Observation], tb: usize) -> f64 {
-    measure_persistent_cfg(config_with(shards), batch, tb)
+    measure_persistent_cfg(EngineConfig::with_shards(shards), batch, tb)
 }
 
-/// Persistent-mode ingest rate with bounded observe lanes (`Block`
-/// policy): the saturation throughput the backpressure subsystem
-/// sustains at a given per-shard capacity.
+/// Ingest rate with bounded observe lanes (`Block` policy): the
+/// saturation throughput the backpressure subsystem sustains at a given
+/// per-shard capacity.
 fn measure_bounded(shards: usize, cap: usize, batch: &[Observation], tb: usize) -> f64 {
-    measure_persistent_cfg(config_with(shards).with_queue_cap(cap), batch, tb)
+    measure_persistent_cfg(
+        EngineConfig::with_shards(shards).with_queue_cap(cap),
+        batch,
+        tb,
+    )
 }
 
 fn measure_persistent_cfg(cfg: EngineConfig, batch: &[Observation], tb: usize) -> f64 {
@@ -250,8 +253,10 @@ fn measure_wal(flush: Option<FlushPolicy>, batch: &[Observation], tb: usize) -> 
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     let cfg = match flush {
-        Some(f) => config_with(1).with_durability(DurabilityConfig::new(&dir).with_flush(f)),
-        None => config_with(1),
+        Some(f) => {
+            EngineConfig::with_shards(1).with_durability(DurabilityConfig::new(&dir).with_flush(f))
+        }
+        None => EngineConfig::with_shards(1),
     };
     let engine = PersistentEngine::new(cfg);
     let client = engine.client();
@@ -271,43 +276,49 @@ fn measure_wal(flush: Option<FlushPolicy>, batch: &[Observation], tb: usize) -> 
     rate
 }
 
-/// Eviction-heavy scoped ingest (events/sec): the TTL is far shorter
-/// than the gap between a stream's consecutive events, so every
+/// Ingests `batch` into `shard` as one leg stamped after `*clock`, then
+/// runs the throttled sweep — the per-leg step a shard worker takes.
+fn shard_leg(shard: &mut Shard, batch: &[Observation], clock: &mut u64) {
+    shard.observe_all_at(batch, *clock);
+    *clock += batch.len() as u64;
+    shard.maybe_sweep(*clock);
+}
+
+/// Eviction-heavy single-shard ingest (events/sec): the TTL is far
+/// shorter than the gap between a stream's consecutive events, so every
 /// observation lazily restarts its stream cold and sweeps continually
 /// reclaim slots — the slab's free list and head-pop sweep under
 /// maximum churn.
 fn measure_ttl_churn(batch: &[Observation], tb: usize) -> f64 {
-    let cfg = EngineConfig {
-        ttl: Some((batch.len() / 8).max(1) as u64),
-        ..config_with(1)
-    };
-    let mut engine = Engine::new(cfg);
-    engine.observe_batch(batch); // warm the slab and pools
+    let ttl = (batch.len() / 8).max(1) as u64;
+    let mut shard = Shard::with_ttl(DpdConfig::default(), Some(ttl));
+    let mut clock = 0;
+    shard_leg(&mut shard, batch, &mut clock); // warm the slab and pools
     best_batch_rate(
         batch.len(),
         (0..tb).map(|_| {
             let start = Instant::now();
-            engine.observe_batch(batch);
+            shard_leg(&mut shard, batch, &mut clock);
             start.elapsed()
         }),
     )
 }
 
-/// Observe latency percentiles over `batches` steady-state
-/// single-shard batches, reported as ns/event. Each sample is a
-/// **per-batch mean** (whole-batch wall time / events): per-event
-/// timing would cost more than the work being timed, so single-event
-/// tail spikes within a batch average out — what the percentiles
-/// expose is batch-to-batch jitter, and the JSON labels them as such.
-/// Latency — not just throughput — is what "cheap enough for the MPI
-/// critical path" means.
+/// Observe latency percentiles over `batches` steady-state batches
+/// into one shard, reported as ns/event. Each sample is a **per-batch
+/// mean** (whole-batch wall time / events): per-event timing would cost
+/// more than the work being timed, so single-event tail spikes within a
+/// batch average out — what the percentiles expose is batch-to-batch
+/// jitter, and the JSON labels them as such. Latency — not just
+/// throughput — is what "cheap enough for the MPI critical path" means.
 fn measure_latency_percentiles(batch: &[Observation], batches: usize) -> (f64, f64) {
-    let mut engine = Engine::new(config_with(1));
-    engine.observe_batch(batch); // warm
+    let mut shard = Shard::new(DpdConfig::default());
+    let mut clock = 0;
+    shard_leg(&mut shard, batch, &mut clock); // warm
     let mut samples: Vec<f64> = (0..batches)
         .map(|_| {
             let start = Instant::now();
-            engine.observe_batch(batch);
+            shard_leg(&mut shard, batch, &mut clock);
             start.elapsed().as_secs_f64() / batch.len() as f64 * 1e9
         })
         .collect();
@@ -332,22 +343,18 @@ fn churn_dpd() -> DpdConfig {
 /// With the intrusive LRU this must be independent of `resident` — the
 /// old collect-and-sort implementation was O(resident log resident).
 fn measure_evict_lru_ns(resident: usize, victims: usize, rounds: usize) -> f64 {
-    let cfg = EngineConfig {
-        dpd: churn_dpd(),
-        parallel_threshold: usize::MAX,
-        ..config_with(1)
-    };
-    let mut engine = Engine::new(cfg);
+    let mut shard = Shard::new(churn_dpd());
+    let mut clock = 0;
     let populate: Vec<Observation> = (0..resident as u32)
         .map(|r| Observation::new(StreamKey::new(r, StreamKind::Sender), 1))
         .collect();
-    engine.observe_batch(&populate);
+    shard_leg(&mut shard, &populate, &mut clock);
     let mut next_rank = resident as u32;
     let mut refill = Vec::with_capacity(victims);
     let mut fastest = Duration::MAX;
     for _ in 0..rounds {
         let start = Instant::now();
-        let removed = engine.evict_lru(victims);
+        let removed = shard.evict_lru(victims);
         fastest = fastest.min(start.elapsed());
         assert_eq!(removed, victims, "resident set large enough to evict from");
         refill.clear();
@@ -356,7 +363,7 @@ fn measure_evict_lru_ns(resident: usize, victims: usize, rounds: usize) -> f64 {
                 .map(|i| Observation::new(StreamKey::new(next_rank + i, StreamKind::Sender), 1)),
         );
         next_rank += victims as u32;
-        engine.observe_batch(&refill);
+        shard_leg(&mut shard, &refill, &mut clock);
     }
     fastest.as_secs_f64() * 1e9 / victims as f64
 }
@@ -382,11 +389,7 @@ fn federated_batch() -> Vec<Observation> {
 fn measure_federated(members: usize, batch: &[Observation], tb: usize) -> f64 {
     let fed = FederatedEngine::new(FederationConfig {
         members,
-        member: EngineConfig {
-            parallel_threshold: 0,
-            ..EngineConfig::with_shards(FED_SHARDS)
-        },
-        adaptive: None,
+        member: EngineConfig::with_shards(FED_SHARDS),
         rebalance: None,
     });
     let client = fed.client();
@@ -430,11 +433,7 @@ fn skewed_federated_batch() -> Vec<Observation> {
 fn measure_rebalance(rebalance: bool, batch: &[Observation], tb: usize) -> f64 {
     let fed = FederatedEngine::new(FederationConfig {
         members: REBALANCE_MEMBERS,
-        member: EngineConfig {
-            parallel_threshold: 0,
-            ..EngineConfig::with_shards(FED_SHARDS)
-        },
-        adaptive: None,
+        member: EngineConfig::with_shards(FED_SHARDS),
         rebalance: rebalance.then_some(RebalanceConfig {
             headroom: 10,
             max_moves_per_epoch: 2,
@@ -467,16 +466,8 @@ fn bench_observe_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_observe_batch");
     g.throughput(Throughput::Elements(batch.len() as u64));
     for shards in SHARD_COUNTS {
-        g.bench_function(format!("scoped/{shards}shard"), |b| {
-            let mut engine = Engine::new(config_with(shards));
-            engine.observe_batch(&batch);
-            b.iter(|| {
-                engine.observe_batch(black_box(&batch));
-                black_box(engine.metrics_total().events_ingested)
-            });
-        });
         g.bench_function(format!("persistent/{shards}shard"), |b| {
-            let engine = PersistentEngine::new(config_with(shards));
+            let engine = PersistentEngine::new(EngineConfig::with_shards(shards));
             let client = engine.client();
             client.observe_batch(&batch);
             client.metrics_total();
@@ -501,19 +492,8 @@ fn bench_predict_batch(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_predict_batch");
     g.throughput(Throughput::Elements(queries.len() as u64));
     for shards in [1usize, 8] {
-        g.bench_function(format!("scoped/{shards}shard"), |b| {
-            let mut engine = Engine::new(config_with(shards));
-            for _ in 0..4 {
-                engine.observe_batch(&batch);
-            }
-            let mut out = Vec::new();
-            b.iter(|| {
-                engine.predict_batch(black_box(&queries), &mut out);
-                black_box(out.iter().filter(|p| p.is_some()).count())
-            });
-        });
         g.bench_function(format!("persistent/{shards}shard"), |b| {
-            let engine = PersistentEngine::new(config_with(shards));
+            let engine = PersistentEngine::new(EngineConfig::with_shards(shards));
             let client = engine.client();
             for _ in 0..4 {
                 client.observe_batch(&batch);
@@ -531,12 +511,10 @@ fn bench_predict_batch(c: &mut Criterion) {
 
 /// Measures the trajectory and (in full mode) writes it to
 /// `BENCH_engine.json` at the workspace root. Schema: each `results`
-/// entry carries a `"mode": "persistent"|"scoped"` field plus the
-/// backpressure knobs (`"queue_cap"`: per-shard lane bound or `null`
-/// for unbounded; `"backpressure"`: full-lane policy label, `null` for
-/// the scoped mode, which has no queues); `persistent_vs_scoped`
-/// records the per-shard-count throughput ratio (≥ 1.0 means the
-/// persistent workers win); `bounded_saturation` records the
+/// entry carries the shard count plus the backpressure knobs
+/// (`"queue_cap"`: per-shard lane bound or `null` for unbounded;
+/// `"backpressure"`: full-lane policy label); `bounded_saturation`
+/// records the
 /// `Block`-mode saturation throughput per lane capacity at
 /// `BOUNDED_SHARDS` shards; `federation` records the multi-engine
 /// ingest trajectory — events/sec per member count over a fixed
@@ -548,43 +526,35 @@ fn bench_predict_batch(c: &mut Criterion) {
 /// ingest, per-event latency percentiles, `evict_lru` ns/victim at two
 /// resident-set sizes — flat means O(victims), not O(resident));
 /// `telemetry_overhead` records the single-shard telemetry off/on A/B
-/// (both modes, interleaved arms; the ≤3% ingest-overhead budget the
-/// telemetry layer is held to); `ensemble_overhead` records the same
-/// A/B shape for the DPD-only default vs the standard
-/// champion/challenger roster — the honest price of online model
-/// selection, not a near-zero budget; `baseline_pr4` embeds the pre-slab PR 4
-/// numbers and `speedup_vs_baseline_pr4` the single-shard before/after
-/// ratios.
+/// (interleaved arms; the ≤3% ingest-overhead budget the telemetry
+/// layer is held to); `ensemble_overhead` records the same A/B shape
+/// for the DPD-only default vs the standard champion/challenger roster
+/// — the honest price of online model selection, not a near-zero
+/// budget; `baseline_pr4` embeds the pre-slab PR 4 numbers and
+/// `speedup_vs_baseline_pr4` the single-shard before/after ratio;
+/// `baseline_prior` embeds the previous committed run and
+/// `ratio_vs_baseline_prior` the unbounded ingest ratio per shard
+/// count.
 fn write_bench_json(p: &Params) {
     let batch = synthetic_batch();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut entries: Vec<String> = Vec::new();
     let mut ratios: Vec<String> = Vec::new();
     let mut persistent_rates = Vec::new();
-    let mut scoped_1shard = 0.0f64;
-    for shards in SHARD_COUNTS {
-        let scoped = best_of(p.runs, || measure_scoped(shards, &batch, p.timed_batches));
-        let persistent = best_of(p.runs, || {
+    for (shards, prior) in SHARD_COUNTS.into_iter().zip(BASELINE_PRIOR_RESULTS) {
+        let rate = best_of(p.runs, || {
             measure_persistent(shards, &batch, p.timed_batches)
         });
-        if shards == 1 {
-            scoped_1shard = scoped;
-        }
         println!(
-            "engine ingest {shards:>2} shard(s): scoped {scoped:>10.0} ev/s, \
-             persistent {persistent:>10.0} ev/s ({:+.1}%)",
-            100.0 * (persistent / scoped - 1.0)
+            "engine ingest {shards:>2} shard(s): {rate:>10.0} ev/s ({:+.1}% vs prior)",
+            100.0 * (rate / prior - 1.0)
         );
         entries.push(format!(
-            "    {{\"mode\": \"scoped\", \"shards\": {shards}, \"queue_cap\": null, \
-             \"backpressure\": null, \"events_per_sec\": {scoped:.0}}}"
+            "    {{\"shards\": {shards}, \"queue_cap\": null, \
+             \"backpressure\": \"block\", \"events_per_sec\": {rate:.0}}}"
         ));
-        entries.push(format!(
-            "    {{\"mode\": \"persistent\", \"shards\": {shards}, \"queue_cap\": null, \
-             \"backpressure\": \"block\", \"events_per_sec\": {persistent:.0}}}"
-        ));
-        ratios.push(format!("    \"{shards}\": {:.3}", persistent / scoped));
-        persistent_rates.push(persistent);
+        ratios.push(format!("    \"{shards}\": {:.3}", rate / prior));
+        persistent_rates.push(rate);
     }
     let policy = BackpressurePolicy::Block.label();
     let mut saturation: Vec<String> = Vec::new();
@@ -597,7 +567,7 @@ fn write_bench_json(p: &Params) {
              {rate:>10.0} ev/s"
         );
         entries.push(format!(
-            "    {{\"mode\": \"persistent\", \"shards\": {BOUNDED_SHARDS}, \"queue_cap\": {cap}, \
+            "    {{\"shards\": {BOUNDED_SHARDS}, \"queue_cap\": {cap}, \
              \"backpressure\": \"{policy}\", \"events_per_sec\": {rate:.0}}}"
         ));
         saturation.push(format!("    \"{cap}\": {rate:.0}"));
@@ -635,39 +605,26 @@ fn write_bench_json(p: &Params) {
     );
 
     // Telemetry A/B: the identical single-shard workload with the
-    // telemetry layer off and on, both modes. One shard keeps the
-    // per-event instrumentation cost undiluted by parallelism, so the
-    // measured overhead is the worst case. The interleaved off/on
-    // pairing inside each best-of run keeps container drift from
-    // biasing one arm.
-    let mut tel = [(0.0f64, 0.0f64); 2]; // [scoped, persistent] (off, on)
+    // telemetry layer off and on. One shard keeps the per-event
+    // instrumentation cost undiluted by parallelism, so the measured
+    // overhead is the worst case. The interleaved off/on pairing inside
+    // each best-of run keeps container drift from biasing one arm.
+    let mut tel = (0.0f64, 0.0f64); // (off, on)
     for _ in 0..p.runs {
-        let on_cfg = || config_with(1).with_telemetry(TelemetryConfig::enabled());
-        let samples = [
-            (
-                measure_scoped(1, &batch, p.timed_batches),
-                measure_scoped_cfg(on_cfg(), &batch, p.timed_batches),
-            ),
-            (
-                measure_persistent(1, &batch, p.timed_batches),
-                measure_persistent_cfg(on_cfg(), &batch, p.timed_batches),
-            ),
-        ];
-        for (slot, (off, on)) in tel.iter_mut().zip(samples) {
-            slot.0 = slot.0.max(off);
-            slot.1 = slot.1.max(on);
-        }
+        let on_cfg = EngineConfig::with_shards(1).with_telemetry(TelemetryConfig::enabled());
+        tel.0 = tel.0.max(measure_persistent(1, &batch, p.timed_batches));
+        tel.1 = tel
+            .1
+            .max(measure_persistent_cfg(on_cfg, &batch, p.timed_batches));
     }
     let overhead_pct = |(off, on): (f64, f64)| 100.0 * (off / on.max(1e-12) - 1.0);
-    for (label, pair) in ["scoped", "persistent"].into_iter().zip(tel) {
-        println!(
-            "engine ingest  1 shard(s), telemetry A/B ({label}): \
-             off {:>10.0} ev/s, on {:>10.0} ev/s ({:+.2}% overhead)",
-            pair.0,
-            pair.1,
-            overhead_pct(pair)
-        );
-    }
+    println!(
+        "engine ingest  1 shard(s), telemetry A/B: \
+         off {:>10.0} ev/s, on {:>10.0} ev/s ({:+.2}% overhead)",
+        tel.0,
+        tel.1,
+        overhead_pct(tel)
+    );
 
     // Ensemble A/B: the identical single-shard workload with the
     // DPD-only default vs the standard champion/challenger roster
@@ -676,36 +633,21 @@ fn write_bench_json(p: &Params) {
     // event — so this records the *price* of model selection rather
     // than holding it to a near-zero budget. Same interleaved arms and
     // min estimator as the telemetry A/B.
-    let mut ens = [(0.0f64, 0.0f64); 2]; // [scoped, persistent] (off, on)
+    let mut ens = (0.0f64, 0.0f64); // (off, on)
     for _ in 0..p.runs {
-        let on_cfg = || EngineConfig {
-            ensemble: EnsembleConfig::standard(),
-            ..config_with(1)
-        };
-        let samples = [
-            (
-                measure_scoped(1, &batch, p.timed_batches),
-                measure_scoped_cfg(on_cfg(), &batch, p.timed_batches),
-            ),
-            (
-                measure_persistent(1, &batch, p.timed_batches),
-                measure_persistent_cfg(on_cfg(), &batch, p.timed_batches),
-            ),
-        ];
-        for (slot, (off, on)) in ens.iter_mut().zip(samples) {
-            slot.0 = slot.0.max(off);
-            slot.1 = slot.1.max(on);
-        }
+        let on_cfg = EngineConfig::with_shards(1).with_ensemble(EnsembleConfig::standard());
+        ens.0 = ens.0.max(measure_persistent(1, &batch, p.timed_batches));
+        ens.1 = ens
+            .1
+            .max(measure_persistent_cfg(on_cfg, &batch, p.timed_batches));
     }
-    for (label, pair) in ["scoped", "persistent"].into_iter().zip(ens) {
-        println!(
-            "engine ingest  1 shard(s), ensemble A/B ({label}): \
-             dpd-only {:>10.0} ev/s, standard roster {:>10.0} ev/s ({:+.2}% overhead)",
-            pair.0,
-            pair.1,
-            overhead_pct(pair)
-        );
-    }
+    println!(
+        "engine ingest  1 shard(s), ensemble A/B: \
+         dpd-only {:>10.0} ev/s, standard roster {:>10.0} ev/s ({:+.2}% overhead)",
+        ens.0,
+        ens.1,
+        overhead_pct(ens)
+    );
 
     // WAL A/B: the identical single-shard workload with the
     // observation log off and on, one arm per flush policy. Whole
@@ -736,9 +678,9 @@ fn write_bench_json(p: &Params) {
     // Churn section: eviction-heavy ingest, latency percentiles, and
     // the evict_lru cost sweep over resident-set sizes.
     let churn_rate = best_of(p.runs, || measure_ttl_churn(&batch, p.timed_batches));
-    println!("engine ingest  1 shard(s), churn ttl: {churn_rate:>10.0} ev/s");
+    println!("shard ingest churn ttl: {churn_rate:>10.0} ev/s");
     let (p50, p99) = measure_latency_percentiles(&batch, p.latency_batches);
-    println!("engine observe latency per event: p50 {p50:.0} ns, p99 {p99:.0} ns");
+    println!("shard observe latency per event: p50 {p50:.0} ns, p99 {p99:.0} ns");
     const LRU_VICTIMS: usize = 16;
     let mut evict_entries: Vec<String> = Vec::new();
     let mut evict_costs: Vec<f64> = Vec::new();
@@ -746,7 +688,7 @@ fn write_bench_json(p: &Params) {
         let ns = best_of(p.runs, || {
             measure_evict_lru_ns(resident, LRU_VICTIMS, p.evict_rounds)
         });
-        println!("engine evict_lru({LRU_VICTIMS}) at {resident:>6} resident: {ns:>8.0} ns/victim");
+        println!("shard evict_lru({LRU_VICTIMS}) at {resident:>6} resident: {ns:>8.0} ns/victim");
         evict_entries.push(format!("      \"{resident}\": {ns:.0}"));
         evict_costs.push(ns);
     }
@@ -775,10 +717,9 @@ fn write_bench_json(p: &Params) {
          \"events_per_batch\": {},\n  \"timed_batches\": {},\n  \
          \"runs_best_of\": {},\n  \"cores\": {cores},\n  \
          \"method\": \"events_per_sec = batch events / fastest completed batch \
-         (incl. a metrics barrier for channel modes) over runs_best_of x timed_batches \
+         (incl. a metrics barrier) over runs_best_of x timed_batches \
          samples; the min estimator is robust to the shared container's scheduler \
          interference, which only ever adds time\",\n  \"results\": [\n{}\n  ],\n  \
-         \"persistent_vs_scoped\": {{\n{}\n  }},\n  \
          \"bounded_saturation\": {{\n{}\n  }},\n  \
          \"federation\": {{\n    \"jobs\": {FED_JOBS},\n    \"shards_per_member\": {FED_SHARDS},\n    \
          \"events_per_sec\": {{\n{}\n    }}\n  }},\n  \
@@ -793,7 +734,9 @@ fn write_bench_json(p: &Params) {
          and migrate legs) after every timed batch inside the timing window — a per-batch \
          cadence far hotter than production epochs, so this bounds the steady-state cost \
          from above\"\n  }},\n  \
-         \"churn\": {{\n    \"ttl_churn_events_per_sec\": {churn_rate:.0},\n    \
+         \"churn\": {{\n    \"unit\": \"one Shard driven directly (observe_all_at + maybe_sweep per \
+         batch; evict_lru on the shard)\",\n    \
+         \"ttl_churn_events_per_sec\": {churn_rate:.0},\n    \
          \"observe_latency_ns_per_event\": {{\"p50\": {p50:.0}, \"p99\": {p99:.0}, \
          \"batches\": {}, \"granularity\": \"percentiles of per-batch means \
          (whole-batch wall time / events) — batch-to-batch jitter, not \
@@ -806,10 +749,8 @@ fn write_bench_json(p: &Params) {
          with the resident set); residual growth is key-map cache pressure\"\n    \
          }}\n  }},\n  \
          \"telemetry_overhead\": {{\n    \"shards\": 1,\n    \
-         \"events_per_sec\": {{\n      \
-         \"scoped\": {{\"off\": {:.0}, \"on\": {:.0}}},\n      \
-         \"persistent\": {{\"off\": {:.0}, \"on\": {:.0}}}\n    }},\n    \
-         \"overhead_pct\": {{\"scoped\": {:.2}, \"persistent\": {:.2}}},\n    \
+         \"events_per_sec\": {{\"off\": {:.0}, \"on\": {:.0}}},\n    \
+         \"overhead_pct\": {:.2},\n    \
          \"budget_pct\": 3.0,\n    \
          \"method\": \"same fixed workload and min estimator as results, 1 shard \
          (per-event instrumentation cost undiluted by parallelism); off/on arms \
@@ -819,10 +760,8 @@ fn write_bench_json(p: &Params) {
          never per-event clock reads) and must stay within budget_pct\"\n  }},\n  \
          \"ensemble_overhead\": {{\n    \"shards\": 1,\n    \
          \"roster\": [\"dpd\", \"last-value\", \"stride\", \"markov1\"],\n    \
-         \"events_per_sec\": {{\n      \
-         \"scoped\": {{\"dpd_only\": {:.0}, \"standard_roster\": {:.0}}},\n      \
-         \"persistent\": {{\"dpd_only\": {:.0}, \"standard_roster\": {:.0}}}\n    }},\n    \
-         \"overhead_pct\": {{\"scoped\": {:.2}, \"persistent\": {:.2}}},\n    \
+         \"events_per_sec\": {{\"dpd_only\": {:.0}, \"standard_roster\": {:.0}}},\n    \
+         \"overhead_pct\": {:.2},\n    \
          \"method\": \"same fixed workload, interleaved arms and min estimator as \
          telemetry_overhead; the on arm runs EnsembleConfig::standard() (3 \
          always-predicting challengers observing and scoring every event on top of \
@@ -841,14 +780,14 @@ fn write_bench_json(p: &Params) {
          dedicated thread and a per-batch minimum would let the fsync cost escape \
          the timed slice; overhead_pct = off_rate/on_rate - 1\"\n  }},\n  \
          \"baseline_pr4\": {BASELINE_PR4},\n  \
-         \"speedup_vs_baseline_pr4\": {{\n    \"scoped_1shard\": {:.3},\n    \
-         \"persistent_1shard\": {:.3}\n  }},\n  \
+         \"speedup_vs_baseline_pr4\": {{\n    \"persistent_1shard\": {:.3}\n  }},\n  \
+         \"baseline_prior\": {BASELINE_PRIOR},\n  \
+         \"ratio_vs_baseline_prior\": {{\n{}\n  }},\n  \
          \"best_multi_shard_speedup\": {:.3}{note}\n}}\n",
         batch.len(),
         p.timed_batches,
         p.runs,
         entries.join(",\n"),
-        ratios.join(",\n"),
         saturation.join(",\n"),
         federation.join(",\n"),
         rb.0,
@@ -858,18 +797,12 @@ fn write_bench_json(p: &Params) {
         p.evict_rounds,
         evict_entries.join(",\n"),
         evict_costs[1] / evict_costs[0].max(1e-12),
-        tel[0].0,
-        tel[0].1,
-        tel[1].0,
-        tel[1].1,
-        overhead_pct(tel[0]),
-        overhead_pct(tel[1]),
-        ens[0].0,
-        ens[0].1,
-        ens[1].0,
-        ens[1].1,
-        overhead_pct(ens[0]),
-        overhead_pct(ens[1]),
+        tel.0,
+        tel.1,
+        overhead_pct(tel),
+        ens.0,
+        ens.1,
+        overhead_pct(ens),
         wal[0],
         wal[1],
         wal[2],
@@ -877,8 +810,8 @@ fn write_bench_json(p: &Params) {
         overhead_pct((wal[0], wal[1])),
         overhead_pct((wal[0], wal[2])),
         overhead_pct((wal[0], wal[3])),
-        scoped_1shard / BASELINE_PR4_SCOPED_1SHARD,
         single / BASELINE_PR4_PERSISTENT_1SHARD,
+        ratios.join(",\n"),
         best_multi / single.max(1e-12),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");

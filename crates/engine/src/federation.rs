@@ -1,11 +1,10 @@
 //! Multi-engine federation: job-partitioned routing over N persistent
 //! engines.
 //!
-//! One [`PersistentEngine`](crate::PersistentEngine) scales across
-//! cores; serving *many concurrent MPI jobs* needs the next layer up —
-//! more than one engine, with each job's `(rank, kind)` streams living
-//! in exactly one member so tenants never collide. [`FederatedEngine`]
-//! is that router:
+//! One [`PersistentEngine`] scales across cores; serving *many
+//! concurrent MPI jobs* needs the next layer up — more than one engine,
+//! with each job's `(rank, kind)` streams living in exactly one member
+//! so tenants never collide. [`FederatedEngine`] is that router:
 //!
 //! ```text
 //!  FederatedClient ──job h(j)=0──▶ member 0 (PersistentEngine, S shards)
@@ -39,17 +38,6 @@
 //!   one tenant across every member, [`FederatedEngine::resident_jobs`]
 //!   lists live tenants, and [`FederatedEngine::job_metrics`] rolls
 //!   each job's scoring counters up across shards and members.
-//! * **Adaptive capacity.** With [`AdaptiveCapacity`] configured,
-//!   [`FederatedEngine::end_epoch`] reads each member's per-epoch
-//!   observe-lane high-water marks and re-bounds its lanes to
-//!   `clamp(next_pow2(headroom × high_water), min, max)` — queues track
-//!   real pressure instead of a hand-tuned constant. The policy is
-//!   restricted by construction to [`BackpressurePolicy::Block`]
-//!   members, where lane capacity is *proven* semantics-free
-//!   (`tests/backpressure.rs`), and the target is a pure function of
-//!   the observed high water — so adaptation can change wall-clock and
-//!   pressure metrics, never predictions, and replay results cannot
-//!   change.
 //! * **Failure attribution.** A dead shard worker inside a member
 //!   surfaces as [`FederationWorkerGone`] carrying the job whose leg
 //!   hit the dead lane, the member index, and the underlying
@@ -59,11 +47,10 @@
 //! The single-member federation is the compatibility mode:
 //! [`FederatedEngine::from_members`] with one engine routes every job
 //! to it, and job-0 traffic through a [`FederatedClient`] takes a
-//! copy-free fast path straight into the member's
-//! [`EngineClient`](crate::EngineClient) — bit-identical to using the
-//! engine directly.
+//! copy-free fast path straight into the member's [`EngineClient`] —
+//! bit-identical to using the engine directly.
 
-use crate::engine::{BackpressurePolicy, EngineConfig};
+use crate::config::EngineConfig;
 use crate::metrics::{
     merge_job_model_rollups, merge_job_rollups, merge_model_stats, EngineMetrics, JobMetrics,
     ModelStats, ShardMetrics,
@@ -74,13 +61,13 @@ use crate::persistent::{
     WorkerGone,
 };
 use crate::rebalance::{MemberLoad, RebalanceConfig, RebalancePlan, Rebalancer};
-use crate::snapshot::SnapshotError;
+use crate::snapshot::{fnv1a, SnapshotError};
 use crate::types::{JobId, Observation, Query, RankId, StreamKey, DEFAULT_JOB};
 use mpp_telemetry::{FlightEvent, FlightKind, FlightRecorder, Histogram, TelemetrySnapshot};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -127,16 +114,9 @@ fn save_pins(base: &Path, pins: &HashMap<JobId, usize>) -> io::Result<()> {
                 .to_le_bytes(),
         );
     }
-    let sum = oplog::fnv1a(&buf);
+    let sum = fnv1a(&buf);
     buf.extend_from_slice(&sum.to_le_bytes());
-    fs::create_dir_all(base)?;
-    let tmp = base.join(format!(".pins-tmp-{}", std::process::id()));
-    let mut f = fs::File::create(&tmp)?;
-    f.write_all(&buf)?;
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp, pins_path(base))?;
-    Ok(())
+    oplog::write_atomic(&pins_path(base), &buf)
 }
 
 /// Loads the persisted pin table; an absent file is an empty table. A
@@ -162,7 +142,7 @@ fn load_pins(base: &Path) -> io::Result<HashMap<JobId, usize>> {
     }
     let (body, sum) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(sum.try_into().expect("8-byte checksum"));
-    if oplog::fnv1a(body) != stored {
+    if fnv1a(body) != stored {
         return Err(bad("checksum mismatch"));
     }
     if body[..PINS_MAGIC.len()] != PINS_MAGIC {
@@ -186,54 +166,6 @@ fn load_pins(base: &Path) -> io::Result<HashMap<JobId, usize>> {
     Ok(pins)
 }
 
-/// Deterministic epoch policy auto-sizing each member's observe-lane
-/// capacity from its observed queue pressure. See the [module
-/// docs](self) for why it is restricted to `Block`-mode members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveCapacity {
-    /// Lower bound on any computed capacity (also the capacity chosen
-    /// for idle members). Must be positive.
-    pub min_cap: usize,
-    /// Upper bound on any computed capacity. Must be ≥ `min_cap`.
-    pub max_cap: usize,
-    /// Pressure multiplier: the next epoch's capacity targets
-    /// `headroom ×` the worst per-shard high water seen this epoch
-    /// (rounded up to a power of two), so a lane that just filled gets
-    /// slack rather than staying saturated. Must be positive.
-    pub headroom: u32,
-}
-
-impl Default for AdaptiveCapacity {
-    fn default() -> Self {
-        AdaptiveCapacity {
-            min_cap: 4,
-            max_cap: 1 << 16,
-            headroom: 2,
-        }
-    }
-}
-
-impl AdaptiveCapacity {
-    fn validate(&self) {
-        assert!(self.min_cap > 0, "adaptive min_cap must be positive");
-        assert!(
-            self.max_cap >= self.min_cap,
-            "adaptive max_cap must be >= min_cap"
-        );
-        assert!(self.headroom > 0, "adaptive headroom must be positive");
-    }
-
-    /// The capacity the policy assigns after observing `high_water` —
-    /// a pure function, so epoch decisions are replayable.
-    pub fn target_cap(&self, high_water: u64) -> usize {
-        let want = high_water
-            .saturating_mul(u64::from(self.headroom))
-            .max(self.min_cap as u64)
-            .min(self.max_cap as u64) as usize;
-        want.next_power_of_two().clamp(self.min_cap, self.max_cap)
-    }
-}
-
 /// Construction parameters for a [`FederatedEngine`].
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
@@ -241,10 +173,6 @@ pub struct FederationConfig {
     pub members: usize,
     /// Configuration applied to every member engine.
     pub member: EngineConfig,
-    /// Optional adaptive observe-lane capacity policy, applied at
-    /// [`FederatedEngine::end_epoch`]. Requires the member config to
-    /// use bounded lanes under [`BackpressurePolicy::Block`].
-    pub adaptive: Option<AdaptiveCapacity>,
     /// Optional load-aware placement policy, applied at
     /// [`FederatedEngine::rebalance_epoch`]: hot jobs migrate off
     /// overloaded members (see [`crate::rebalance`]). Placement can
@@ -260,7 +188,6 @@ impl FederationConfig {
         FederationConfig {
             members,
             member: EngineConfig::with_shards(shards),
-            adaptive: None,
             rebalance: None,
         }
     }
@@ -268,12 +195,6 @@ impl FederationConfig {
     /// Replaces the per-member engine configuration.
     pub fn member_config(mut self, member: EngineConfig) -> Self {
         self.member = member;
-        self
-    }
-
-    /// Enables the adaptive observe-lane capacity policy.
-    pub fn adaptive(mut self, policy: AdaptiveCapacity) -> Self {
-        self.adaptive = Some(policy);
         self
     }
 
@@ -287,20 +208,6 @@ impl FederationConfig {
         assert!(self.members > 0, "federation needs at least one member");
         if let Some(policy) = &self.rebalance {
             policy.validate();
-        }
-        if let Some(policy) = &self.adaptive {
-            policy.validate();
-            assert!(
-                self.member.observe_queue_cap.is_some(),
-                "adaptive capacity needs bounded observe lanes \
-                 (set EngineConfig::observe_queue_cap)"
-            );
-            assert!(
-                self.member.backpressure == BackpressurePolicy::Block,
-                "adaptive capacity requires BackpressurePolicy::Block, where lane \
-                 capacity is proven semantics-free; resizing Shed lanes would let \
-                 the adaptation change which events are dropped"
-            );
         }
     }
 }
@@ -461,9 +368,6 @@ pub struct EpochCapacity {
     /// Worst per-shard observe-lane high water the member saw this
     /// epoch (epoch counters reset on read).
     pub queue_high_water: u64,
-    /// Observe-lane capacity in force after the epoch (`None` when the
-    /// member runs unbounded lanes and no adaptive policy applies).
-    pub observe_queue_cap: Option<usize>,
 }
 
 /// Federation-level telemetry: the routing view the members cannot see.
@@ -476,7 +380,7 @@ struct FedTelemetry {
     /// including any blocked sends inside it).
     route_ns: Vec<Histogram>,
     /// Federation flight ring: worker-gone sightings with job + member
-    /// attribution, adaptive-capacity re-bounds, and job migrations.
+    /// attribution, and job migrations.
     flight: Mutex<FlightRecorder>,
     /// Rebalance epochs closed via
     /// [`FederatedEngine::rebalance_epoch`].
@@ -505,10 +409,9 @@ struct FedInner {
     /// in-memory federations and for [`FederatedEngine::from_members`]
     /// wrappers, whose members own their directories individually.
     durability: Option<PathBuf>,
-    adaptive: Option<AdaptiveCapacity>,
     /// Load-aware placement state; present only when configured.
     rebalance: Option<Mutex<Rebalancer>>,
-    /// Completed adaptation epochs.
+    /// Completed epochs ([`FederatedEngine::end_epoch`]).
     epoch: AtomicU64,
     /// Federation-level telemetry; `None` unless every member has
     /// telemetry enabled.
@@ -574,7 +477,7 @@ impl FederatedEngine {
     /// With [`EngineConfig::durability`] configured, member `i` logs
     /// under `{dir}/member-{i}` (each member wipes its own
     /// subdirectory, exactly like a fresh
-    /// [`PersistentEngine`](crate::PersistentEngine)), and any stale
+    /// [`PersistentEngine`]), and any stale
     /// pin table in `{dir}` is removed — a fresh federation must not
     /// resurrect a previous run's routing. Use
     /// [`FederatedEngine::recover`] to resume from existing state.
@@ -595,7 +498,6 @@ impl FederatedEngine {
         }
         Ok(Self::assemble(
             members,
-            cfg.adaptive,
             cfg.rebalance,
             durability,
             HashMap::new(),
@@ -613,7 +515,7 @@ impl FederatedEngine {
     ///
     /// Errs — never panics, never partially applies — when a member's
     /// recovery fails hard (see
-    /// [`RecoverError`](crate::persistent::RecoverError)) or the pin
+    /// [`RecoverError`]) or the pin
     /// table is unreadable/corrupt (`RecoverError::Io` with
     /// `InvalidData`; delete `pins.bin` to explicitly accept hash
     /// routing instead).
@@ -649,7 +551,7 @@ impl FederatedEngine {
             )));
         }
         let pins_restored = pins.len();
-        let fed = Self::assemble(members, cfg.adaptive, cfg.rebalance, Some(base), pins);
+        let fed = Self::assemble(members, cfg.rebalance, Some(base), pins);
         Ok((
             fed,
             FedRecoveryReport {
@@ -668,7 +570,7 @@ impl FederatedEngine {
     /// [`FederationConfig`] for durable routing.
     pub fn from_members(members: Vec<PersistentEngine>) -> Self {
         assert!(!members.is_empty(), "federation needs at least one member");
-        Self::assemble(members, None, None, None, HashMap::new())
+        Self::assemble(members, None, None, HashMap::new())
     }
 
     /// A single-member federation over a freshly spawned engine.
@@ -678,7 +580,6 @@ impl FederatedEngine {
 
     fn assemble(
         members: Vec<PersistentEngine>,
-        adaptive: Option<AdaptiveCapacity>,
         rebalance: Option<RebalanceConfig>,
         durability: Option<PathBuf>,
         pins: HashMap<JobId, usize>,
@@ -700,7 +601,6 @@ impl FederatedEngine {
                 members,
                 pins: RwLock::new(pins),
                 durability,
-                adaptive,
                 rebalance: rebalance.map(|cfg| Mutex::new(Rebalancer::new(cfg))),
                 epoch: AtomicU64::new(0),
                 telemetry,
@@ -986,56 +886,28 @@ impl FederatedEngine {
         self.inner.members.iter().map(PersistentEngine::clock).sum()
     }
 
-    /// Completed adaptation epochs.
+    /// Completed epochs.
     pub fn epoch(&self) -> u64 {
         self.inner.epoch.load(Ordering::Relaxed)
     }
 
-    /// Closes one adaptation epoch: reads (and resets) every member's
-    /// per-epoch observe-lane high-water marks and — when an
-    /// [`AdaptiveCapacity`] policy is configured — re-bounds each
-    /// member's lanes to the policy's target for the pressure that
-    /// member actually saw. Returns one report entry per member either
-    /// way. Deterministic by construction: the target is a pure
-    /// function of the observed high water, and only `Block`-mode
-    /// members may carry a policy, so resizing can never change
-    /// predictions or replay results (see the [module docs](self)).
+    /// Closes one epoch: reads (and resets) every member's per-epoch
+    /// observe-lane high-water marks and returns one report entry per
+    /// member — the pressure signal [`FederatedEngine::rebalance_epoch`]
+    /// plans from.
     pub fn end_epoch(&self) -> Vec<EpochCapacity> {
         let report = self
             .inner
             .members
             .iter()
             .enumerate()
-            .map(|(i, m)| {
-                let high = m
+            .map(|(i, m)| EpochCapacity {
+                member: i,
+                queue_high_water: m
                     .take_epoch_queue_high_water()
                     .into_iter()
                     .max()
-                    .unwrap_or(0);
-                let cap = match &self.inner.adaptive {
-                    Some(policy) => {
-                        let target = policy.target_cap(high);
-                        m.set_observe_queue_caps(target);
-                        if let Some(tel) = self.inner.telemetry.as_ref() {
-                            tel.push_flight(FlightEvent {
-                                at: m.clock(),
-                                kind: FlightKind::EpochRebound,
-                                member: i as u32,
-                                shard: 0,
-                                job: DEFAULT_JOB,
-                                a: high,
-                                b: target as u64,
-                            });
-                        }
-                        Some(target)
-                    }
-                    None => m.observe_queue_caps().into_iter().flatten().max(),
-                };
-                EpochCapacity {
-                    member: i,
-                    queue_high_water: high,
-                    observe_queue_cap: cap,
-                }
+                    .unwrap_or(0),
             })
             .collect();
         self.inner.epoch.fetch_add(1, Ordering::Relaxed);
@@ -1043,10 +915,9 @@ impl FederatedEngine {
     }
 
     /// Closes one epoch *and* runs the load-aware rebalancer over it:
-    /// internally calls [`FederatedEngine::end_epoch`] (one epoch close
-    /// feeds both the adaptive-capacity policy and the rebalance
-    /// snapshot — the resetting high-water counters are read exactly
-    /// once), builds a [`crate::rebalance::RebalanceSnapshot`] from the
+    /// internally calls [`FederatedEngine::end_epoch`] (the resetting
+    /// high-water counters are read exactly once), builds a
+    /// [`crate::rebalance::RebalanceSnapshot`] from the
     /// per-job rollups, computes the pure placement plan, and executes
     /// it via [`FederatedEngine::quiesce_job`] →
     /// [`FederatedEngine::migrate_job`]. A move that fails with a typed
@@ -1497,9 +1368,9 @@ impl FederatedClient {
     /// with the routing layer's own telemetry — the merged
     /// `route_observe_ns` histogram plus a per-member
     /// `route_observe_ns_m{i}` breakdown, and the federation flight
-    /// ring (worker-gone sightings with job/member attribution,
-    /// adaptive-capacity re-bounds). Returns `None` unless every
-    /// member engine was built with telemetry enabled.
+    /// ring (worker-gone sightings with job/member attribution, job
+    /// migrations). Returns `None` unless every member engine was built
+    /// with telemetry enabled.
     ///
     /// Flight stamps are each member's own engine time; the merged log
     /// interleaves those independent domains by stamp value.
@@ -1551,6 +1422,37 @@ mod tests {
             .flat_map(|_| pattern.iter().map(move |&v| Observation::new(key, v)))
             .collect();
         client.observe_batch(&batch);
+    }
+
+    /// The pin table's on-disk bytes are a format: magic, version,
+    /// count, `(job, member)` pairs ascending by job, FNV-1a checksum.
+    /// Pinned byte for byte, then round-tripped through the loader,
+    /// which must refuse a flipped bit.
+    #[test]
+    fn pin_table_bytes_are_pinned_and_round_trip() {
+        let dir = std::env::temp_dir().join(format!("mpp-fed-pins-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let pins: HashMap<JobId, usize> = [(3, 1), (1, 0)].into_iter().collect();
+        save_pins(&dir, &pins).unwrap();
+        let bytes = fs::read(pins_path(&dir)).unwrap();
+        let mut want = b"MPPPIN\0".to_vec();
+        for word in [1u32, 2, 1, 0, 3, 1] {
+            want.extend_from_slice(&word.to_le_bytes());
+        }
+        want.extend_from_slice(&0x10a6_5d4e_e858_3fe5u64.to_le_bytes());
+        assert_eq!(bytes, want);
+        assert_eq!(load_pins(&dir).unwrap(), pins);
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec!["pins.bin"], "no temp file left behind");
+        let mut flipped = bytes;
+        flipped[12] ^= 1;
+        fs::write(pins_path(&dir), &flipped).unwrap();
+        let err = load_pins(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1669,22 +1571,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_capacity_tracks_pressure_deterministically() {
-        let policy = AdaptiveCapacity {
-            min_cap: 2,
-            max_cap: 64,
-            headroom: 2,
-        };
-        // Pure, replayable targets.
-        assert_eq!(policy.target_cap(0), 2, "idle member floors at min");
-        assert_eq!(policy.target_cap(1), 2);
-        assert_eq!(policy.target_cap(3), 8, "2x3 rounds up to a power of two");
-        assert_eq!(policy.target_cap(1000), 64, "ceiling holds");
-
+    fn end_epoch_reports_per_member_pressure_and_resets() {
         let fed = FederatedEngine::new(
             FederationConfig::new(2, 1)
-                .member_config(EngineConfig::with_shards(1).with_queue_cap(8))
-                .adaptive(policy),
+                .member_config(EngineConfig::with_shards(1).with_queue_cap(8)),
         );
         let client = fed.client();
         // Stall member 0's lone worker so its lane genuinely queues.
@@ -1699,52 +1589,17 @@ mod tests {
         client.metrics_total(); // drain
         let report = fed.end_epoch();
         assert_eq!(report.len(), 2);
+        assert_eq!((report[0].member, report[1].member), (0, 1));
         assert!(report[0].queue_high_water > 0, "stalled lane saw pressure");
-        assert_eq!(
-            report[0].observe_queue_cap,
-            Some(policy.target_cap(report[0].queue_high_water)),
-            "cap applied is exactly the pure policy target"
-        );
+        assert!(report[0].queue_high_water <= 8, "bounded by the lane cap");
         assert_eq!(report[1].queue_high_water, 0, "idle member saw none");
-        assert_eq!(
-            report[1].observe_queue_cap,
-            Some(2),
-            "idle member shrinks to min"
-        );
-        assert_eq!(
-            fed.member(1).observe_queue_caps(),
-            vec![Some(2)],
-            "lane capacity was actually re-bounded"
-        );
         assert_eq!(fed.epoch(), 1);
-        // Epoch counters reset: a quiet second epoch floors everyone.
+        // Epoch counters reset on read; the all-time mark does not.
         let report = fed.end_epoch();
         assert!(report.iter().all(|r| r.queue_high_water == 0));
-        assert!(report.iter().all(|r| r.observe_queue_cap == Some(2)));
         assert_eq!(fed.epoch(), 2);
-        // The engine still ingests and serves after re-bounding.
+        assert!(fed.metrics_total().queue_high_water > 0);
         train(&client, jkey(busy_job, 1), &[3, 4], 10);
         assert_eq!(client.predict(jkey(busy_job, 1), 1), Some(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "adaptive capacity requires BackpressurePolicy::Block")]
-    fn adaptive_capacity_rejects_shed_members() {
-        FederationConfig::new(1, 1)
-            .member_config(
-                EngineConfig::with_shards(1)
-                    .with_queue_cap(4)
-                    .with_backpressure(BackpressurePolicy::Shed),
-            )
-            .adaptive(AdaptiveCapacity::default())
-            .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "bounded observe lanes")]
-    fn adaptive_capacity_rejects_unbounded_members() {
-        FederationConfig::new(1, 1)
-            .adaptive(AdaptiveCapacity::default())
-            .validate();
     }
 }

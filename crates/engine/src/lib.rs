@@ -9,24 +9,19 @@
 //! a symbol-interning layer, shards them across worker threads by rank
 //! hash, and exposes batched, zero-allocation observe/predict APIs.
 //!
-//! Two execution modes share one semantics:
+//! There is one execution mode: a [`PersistentEngine`] runs one
+//! long-lived worker thread per shard, each owning one [`Shard`], fed
+//! over crossbeam channels through per-thread [`EngineClient`]s
+//! (lock-free submission, epoch-stamped replies, graceful shutdown on
+//! drop). A [`FederatedEngine`] routes jobs over several of them.
 //!
-//! * [`PersistentEngine`] — **the default serving mode**: one
-//!   long-lived worker thread per shard, fed over crossbeam channels
-//!   through per-thread [`EngineClient`]s (lock-free submission,
-//!   epoch-stamped replies, graceful shutdown on drop).
-//! * [`Engine`] — the scoped mode: shards live in the caller's value
-//!   and worker threads are spawned per batch. It doubles as the
-//!   sequential reference the persistent mode is property-tested
-//!   against.
+//! Four properties are load-bearing and tested:
 //!
-//! Three properties are load-bearing and tested:
-//!
-//! 1. **Prediction equivalence.** For any shard count, batch split,
-//!    and execution mode, the engine's predictions are bit-identical
-//!    to driving one `DpdPredictor` per stream sequentially
-//!    (`tests/equivalence.rs`, `tests/persistence.rs`). Sharding and
-//!    worker threads are throughput devices, never semantics devices.
+//! 1. **Prediction equivalence.** For any shard count and batch split,
+//!    the engine's predictions are bit-identical to driving one
+//!    `DpdPredictor` per stream sequentially (`tests/equivalence.rs`,
+//!    `tests/persistence.rs`). Sharding and worker threads are
+//!    throughput devices, never semantics devices.
 //! 2. **Deterministic eviction.** Idle streams expire after a
 //!    configurable TTL ([`EngineConfig::ttl`], measured in engine-time
 //!    events) and restart cold — with results independent of *when*
@@ -34,13 +29,12 @@
 //!    sweep opportunistically (see the [`shard`] docs for the
 //!    argument). Forced eviction is globally LRU by last-observed
 //!    event index.
-//! 3. **Allocation-lean steady state.** On the ingest hot path, the
-//!    scoped engine allocates nothing (preallocated per-shard index
-//!    scratch) and the persistent engine recycles its cross-thread leg
-//!    buffers through a return channel; predictors reuse their fixed
-//!    [`Ring`](mpp_core::ring::Ring) buffers and prediction output
-//!    lands in caller-provided, capacity-reused vectors. Query calls
-//!    on the persistent path do allocate small per-call leg/reply
+//! 3. **Allocation-lean steady state.** A warm [`Shard`] ingests and
+//!    forecasts without allocating (`tests/alloc.rs`): predictors reuse
+//!    their fixed [`Ring`](mpp_core::ring::Ring) buffers and forecast
+//!    output lands in caller-provided, capacity-reused vectors. The
+//!    persistent engine recycles its cross-thread leg buffers through a
+//!    return channel. Query calls do allocate small per-call leg/reply
 //!    structures — they are re-plan-rate, not event-rate. Client leg
 //!    pools are bounded (entry count and per-buffer capacity), so a
 //!    one-off burst cannot pin its peak footprint forever.
@@ -66,15 +60,14 @@
 //! * [`shard`] — [`Shard`]: single-threaded predictor bank with
 //!   interning, online `+1` hit/miss scoring, period-churn tracking,
 //!   per-job rollups, and the TTL/eviction rule.
-//! * [`engine`] — [`Engine`]: scoped-mode `(job, rank)`-hash sharding,
-//!   batched [`observe_batch`](Engine::observe_batch) /
-//!   [`predict_batch`](Engine::predict_batch).
+//! * [`config`] — [`EngineConfig`] and its sub-policies, and the
+//!   `(job, rank)`-hash shard placement.
 //! * [`persistent`] — [`PersistentEngine`] / [`EngineClient`]:
 //!   persistent shard workers behind channels.
 //! * [`federation`] — [`FederatedEngine`] / [`FederatedClient`]:
 //!   multi-engine router partitioning traffic by job, with
 //!   deterministic pinning, per-job eviction/metrics across members,
-//!   and the adaptive observe-lane capacity policy.
+//!   and epoch-driven rebalancing.
 //! * [`metrics`] — [`ShardMetrics`] / [`JobMetrics`] /
 //!   [`EngineMetrics`]: events ingested, hit/miss/abstention, period
 //!   churn, resident/evicted streams, queue depth — per shard and per
@@ -100,7 +93,7 @@
 //! // Dropping the last handle/client joins the workers.
 //! ```
 
-pub mod engine;
+pub mod config;
 pub mod federation;
 pub mod metrics;
 pub mod oplog;
@@ -112,11 +105,10 @@ pub mod stream_table;
 pub(crate) mod telemetry;
 pub mod types;
 
-pub use engine::{BackpressurePolicy, Engine, EngineConfig, EnsembleConfig};
+pub use config::{BackpressurePolicy, EngineConfig, EnsembleConfig};
 pub use federation::{
-    AdaptiveCapacity, EpochCapacity, FedRecoveryReport, FederatedClient, FederatedEngine,
-    FederationConfig, FederationMetrics, FederationWorkerGone, MigrateError, QuiesceReport,
-    RebalanceReport,
+    EpochCapacity, FedRecoveryReport, FederatedClient, FederatedEngine, FederationConfig,
+    FederationMetrics, FederationWorkerGone, MigrateError, QuiesceReport, RebalanceReport,
 };
 pub use metrics::{
     merge_job_model_rollups, merge_job_rollups, merge_model_stats, EngineMetrics, JobMetrics,

@@ -92,8 +92,7 @@ pub struct ShardMetrics {
     /// Largest number of events this shard received in a single batch.
     pub max_batch_depth: u64,
     /// High-water mark of this shard's command-lane length, sampled
-    /// right after each enqueue (persistent mode; always 0 in scoped
-    /// mode, which has no queues). With a bounded lane this can never
+    /// right after each enqueue. With a bounded lane this can never
     /// exceed `observe_queue_cap`.
     pub queue_high_water: u64,
     /// Observe submissions that found this shard's bounded lane full
@@ -305,7 +304,7 @@ impl EngineMetrics {
     /// time*. The contract is that `total()` is only called on the
     /// per-shard snapshots of a single `metrics()` collection — never
     /// on snapshots from different moments, whose gauge levels are not
-    /// comparable. Scoped and persistent engines both honour it (their
+    /// comparable. Engines of every shard count honour it (their
     /// post-eviction totals agree exactly; see
     /// `tests/telemetry.rs::resident_streams_gauge_sums_exactly_after_eviction`),
     /// and [`TelemetrySnapshot`](mpp_telemetry::TelemetrySnapshot)

@@ -59,6 +59,7 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use crate::snapshot::fnv1a;
 use crate::types::{Observation, StreamKey, StreamKind};
 
 /// Leading bytes of every segment file.
@@ -75,17 +76,6 @@ const OBS_LEN: usize = 4 + 4 + 1 + 8;
 
 /// Frame payload prefix: base stamp + count.
 const FRAME_PREFIX_LEN: usize = 8 + 4;
-
-/// Same FNV-1a as the snapshot format (`crate::snapshot`): tiny,
-/// dependency-free, and plenty to catch torn or bit-rotted frames.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// When the log writer hands bytes to the OS *and* when it forces them
 /// to stable storage. The write itself always happens per frame; the
@@ -330,18 +320,28 @@ pub fn snapshot_files(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
-/// Writes a snapshot blob into `dir` at `watermark`, atomically
-/// (temp file + rename, fsynced before the rename): a crash mid-write
-/// never leaves a half snapshot under the real name.
-pub fn write_snapshot_file(dir: &Path, watermark: u64, bytes: &[u8]) -> io::Result<PathBuf> {
+/// Writes `bytes` to `path` atomically: into a hidden temp file beside
+/// it, fsynced (`sync_all`), then renamed over `path`. A crash mid-write
+/// leaves the old file or the new one under the real name, never a torn
+/// one. Creates the parent directory if needed.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = path.parent().unwrap_or(Path::new("."));
     fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(".snap-tmp-{}", std::process::id()));
+    let name = path.file_name().unwrap_or_default().to_string_lossy();
+    let tmp = dir.join(format!(".{name}.tmp-{}", std::process::id()));
     let mut f = File::create(&tmp)?;
     f.write_all(bytes)?;
-    f.sync_data()?;
+    f.sync_all()?;
     drop(f);
+    fs::rename(&tmp, path)
+}
+
+/// Writes a snapshot blob into `dir` at `watermark`, atomically (see
+/// `write_atomic`): a crash mid-write never leaves a half snapshot
+/// under the real name.
+pub fn write_snapshot_file(dir: &Path, watermark: u64, bytes: &[u8]) -> io::Result<PathBuf> {
     let path = dir.join(snapshot_name(watermark));
-    fs::rename(&tmp, &path)?;
+    write_atomic(&path, bytes)?;
     Ok(path)
 }
 
@@ -1006,10 +1006,30 @@ mod tests {
                 .unwrap()
                 .file_name()
                 .to_string_lossy()
-                .starts_with(".snap-tmp")),
+                .contains(".tmp-")),
             "no temp files left behind"
         );
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn atomic_write_replaces_whole_files_and_creates_the_directory() {
+        let dir = tmpdir("atomic").join("nested");
+        let path = dir.join("table.bin");
+        write_atomic(&path, b"first version").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"first version");
+        write_atomic(&path, b"second").unwrap();
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            b"second",
+            "replaced, not appended"
+        );
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert_eq!(names, vec!["table.bin"], "no temp file left behind");
+        let _ = fs::remove_dir_all(dir.parent().unwrap());
     }
 
     #[test]

@@ -1,10 +1,8 @@
-//! Persistent shard workers: the default serving mode.
+//! Persistent shard workers: the engine's execution mode.
 //!
-//! The scoped [`Engine`](crate::Engine) spawns worker threads per batch;
-//! fine for replay loops, wrong shape for a serving layer that ingests
-//! forever. This module keeps one **long-lived worker thread per
-//! shard**, each owning its [`Shard`] outright and fed over a
-//! crossbeam channel:
+//! A serving layer ingests forever, so the engine keeps one
+//! **long-lived worker thread per shard**, each owning its [`Shard`]
+//! outright and fed over a crossbeam channel:
 //!
 //! ```text
 //!  EngineClient ──sender[0]──▶ worker 0 (owns Shard 0)
@@ -97,7 +95,7 @@
 //! including across eviction-and-reload — is property-tested in
 //! `tests/persistence.rs`.
 
-use crate::engine::{shard_of, shard_of_key, BackpressurePolicy, Engine, EngineConfig};
+use crate::config::{shard_of, shard_of_key, BackpressurePolicy, EngineConfig};
 use crate::metrics::{
     merge_job_model_rollups, merge_job_rollups, merge_model_stats, EngineMetrics, JobMetrics,
     ModelStats, ShardMetrics,
@@ -278,7 +276,7 @@ struct LaneStats {
     queue_high_water: AtomicU64,
     send_blocked: AtomicU64,
     shed_events: AtomicU64,
-    /// High-water mark since the last adaptive-capacity epoch read
+    /// High-water mark since the last epoch read
     /// ([`PersistentEngine::take_epoch_queue_high_water`]); unlike
     /// `queue_high_water` this one resets, so epochs see their own
     /// pressure rather than an all-time maximum. Sampled on observe
@@ -692,33 +690,20 @@ fn worker_loop(
                 if let (Some(sent), Some(tel)) = (sent_at, shard.telemetry()) {
                     tel.queue_wait_ns.record(sent.elapsed().as_nanos() as u64);
                 }
-                let ttl = shard.ttl().is_some();
-                let events_in_leg = leg.len();
-                shard.note_batch_depth(events_in_leg as u64);
-                // The per-event drain below bypasses the scoped batch
-                // entry points, so the worker times its own leg.
-                let t0 = shard.telemetry().map(|_| Instant::now());
                 let empty = match leg {
                     Leg::Plain(mut events) => {
-                        for obs in events.drain(..) {
-                            // Without a TTL per-event stamps are
-                            // unobservable; batch-end granularity keeps
-                            // the LRU order usable for forced eviction.
-                            shard.observe_at(obs, now);
-                        }
+                        // Without a TTL per-event stamps are
+                        // unobservable; batch-end granularity keeps the
+                        // LRU order usable for forced eviction.
+                        shard.observe_leg(events.drain(..).map(|obs| (obs, now)));
                         Leg::Plain(events)
                     }
                     Leg::Stamped(mut events) => {
-                        for (obs, at) in events.drain(..) {
-                            shard.observe_at(obs, at);
-                        }
+                        shard.observe_leg(events.drain(..));
                         Leg::Stamped(events)
                     }
                 };
-                if let (Some(t0), Some(tel)) = (t0, shard.telemetry()) {
-                    tel.note_batch(t0.elapsed().as_nanos() as u64, events_in_leg);
-                }
-                if ttl {
+                if shard.ttl().is_some() {
                     shard.maybe_sweep(now);
                 }
                 // The submitting client may already be gone; its buffer
@@ -911,11 +896,9 @@ impl PersistentEngine {
             flight: Mutex::new(FlightRecorder::new(cfg.telemetry.flight_capacity)),
             morgue: Arc::new((0..cfg.shards).map(|_| Mutex::new(None)).collect()),
         });
-        for (id, shard) in Engine::new(cfg.clone())
-            .into_shards()
-            .into_iter()
-            .enumerate()
-        {
+        for id in 0..cfg.shards {
+            let mut shard = Shard::with_ensemble(cfg.dpd.clone(), cfg.ttl, cfg.ensemble.clone());
+            shard.enable_telemetry(&cfg.telemetry, id as u32);
             let (tx, rx) = match cfg.observe_queue_cap {
                 Some(cap) => bounded(cap),
                 None => unbounded(),
@@ -1012,9 +995,8 @@ impl PersistentEngine {
 
     /// Per-shard observe-lane high-water marks accumulated since the
     /// previous call, resetting the epoch counters to zero — the
-    /// pressure signal the federation's adaptive capacity policy reads
-    /// between epochs. The all-time `queue_high_water` metric is
-    /// unaffected.
+    /// pressure signal the federation's rebalancer reads between
+    /// epochs. The all-time `queue_high_water` metric is unaffected.
     pub fn take_epoch_queue_high_water(&self) -> Vec<u64> {
         self.inner
             .lanes
@@ -1023,36 +1005,10 @@ impl PersistentEngine {
             .collect()
     }
 
-    /// Current per-shard observe-lane capacities (`None` = unbounded).
-    pub fn observe_queue_caps(&self) -> Vec<Option<usize>> {
-        self.inner.senders.iter().map(Sender::capacity).collect()
-    }
-
-    /// Re-bounds every shard's observe lane to `cap` queued commands —
-    /// the application point of the adaptive capacity policy. Only
-    /// meaningful on engines built with a bounded lane
-    /// ([`EngineConfig::observe_queue_cap`]) under
-    /// [`BackpressurePolicy::Block`], where lane capacity is proven
-    /// semantics-free (`tests/backpressure.rs`): resizing can change
-    /// wall-clock and pressure metrics, never predictions. Callers are
-    /// responsible for not resizing `Shed` engines mid-run (capacity
-    /// would then decide which events are dropped); the federation's
-    /// adaptive policy enforces that by construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `cap` is zero.
-    pub fn set_observe_queue_caps(&self, cap: usize) {
-        assert!(cap > 0, "observe lane capacity must be positive");
-        for tx in &self.inner.senders {
-            tx.set_capacity(Some(cap));
-        }
-    }
-
-    /// Rebuilds a running engine from an
-    /// [`EngineClient::snapshot`] / [`crate::Engine::snapshot`] blob:
-    /// spawns the workers, seeds the global clock and the per-job clock
-    /// registry, then ships each worker its shard's serialized state.
+    /// Rebuilds a running engine from an [`EngineClient::snapshot`]
+    /// blob: spawns the workers, seeds the global clock and the per-job
+    /// clock registry, then ships each worker its shard's serialized
+    /// state.
     /// `cfg` must match the snapshot's shard count, TTL, and DPD
     /// parameters ([`SnapshotError::ConfigMismatch`] otherwise);
     /// transport knobs are free to differ. Every stream record is
@@ -2132,12 +2088,12 @@ impl EngineClient {
         })
     }
 
-    /// Restores a job from a [`EngineClient::snapshot_job`] /
-    /// [`crate::Engine::snapshot_job`] blob, replacing any state the
-    /// engine already held for it, and returns the job id and how many
-    /// streams were installed. Streams re-partition by *this* engine's
-    /// shard count; only TTL and DPD parameters must match. Every stream
-    /// record is checked before any shard's state is replaced
+    /// Restores a job from an [`EngineClient::snapshot_job`] blob,
+    /// replacing any state the engine already held for it, and returns
+    /// the job id and how many streams were installed. Streams
+    /// re-partition by *this* engine's shard count; only TTL and DPD
+    /// parameters must match. Every stream record is checked before any
+    /// shard's state is replaced
     /// ([`SnapshotError::Malformed`] otherwise).
     pub fn restore_job(&self, bytes: &[u8]) -> Result<(JobId, usize), SnapshotError> {
         let snap = decode_job_for(bytes, &self.inner.cfg)?;
@@ -2354,6 +2310,215 @@ mod tests {
         // ranks 1 and 2 were the oldest; 0 was refreshed.
         left.sort_unstable();
         assert_eq!(left, vec![0, 3, 4, 5]);
+    }
+
+    fn periodic_batch(
+        ranks: u32,
+        cycles: usize,
+        pattern_of: impl Fn(u32) -> Vec<u64>,
+    ) -> Vec<Observation> {
+        let mut out = Vec::new();
+        for _ in 0..cycles {
+            for r in 0..ranks {
+                for &v in &pattern_of(r) {
+                    out.push(Observation::new(skey(r), v));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn single_and_multi_shard_agree() {
+        let batch = periodic_batch(16, 12, |r| vec![u64::from(r), u64::from(r) + 1, 40]);
+        let queries: Vec<Query> = (0..16)
+            .flat_map(|r| (1..=5).map(move |h| Query::new(skey(r), h)))
+            .collect();
+        let (solo, multi) = (engine(1).client(), engine(8).client());
+        solo.observe_batch(&batch);
+        multi.observe_batch(&batch);
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        solo.predict_batch(&queries, &mut a);
+        multi.predict_batch(&queries, &mut b);
+        assert_eq!(a, b);
+        assert!(a.iter().any(Option::is_some), "locked streams must predict");
+    }
+
+    #[test]
+    fn batched_equals_incremental() {
+        let batch = periodic_batch(5, 10, |r| vec![u64::from(r) % 3, 7, 9]);
+        let (batched, incremental) = (engine(4).client(), engine(4).client());
+        batched.observe_batch(&batch);
+        for obs in &batch {
+            incremental.observe(obs.key, obs.value);
+        }
+        for r in 0..5 {
+            for h in 1..=4 {
+                assert_eq!(
+                    batched.predict(skey(r), h),
+                    incremental.predict(skey(r), h),
+                    "rank {r} horizon {h}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn forecast_messages_pairs_sender_and_size() {
+        let client = engine(2).client();
+        for _ in 0..20 {
+            for (s, b) in [(1u64, 100u64), (2, 200), (1, 100), (3, 800)] {
+                client.observe(StreamKey::new(0, StreamKind::Sender), s);
+                client.observe(StreamKey::new(0, StreamKind::Size), b);
+            }
+        }
+        let mut advice = Vec::new();
+        client.forecast_messages(0, 4, &mut advice);
+        assert_eq!(
+            advice,
+            vec![
+                (Some(1), Some(100)),
+                (Some(2), Some(200)),
+                (Some(1), Some(100)),
+                (Some(3), Some(800)),
+            ]
+        );
+    }
+
+    #[test]
+    fn jobs_namespace_streams_and_roll_up_separately() {
+        let client = engine(4).client();
+        let ka = StreamKey::for_job(1, 0, StreamKind::Sender);
+        let kb = StreamKey::for_job(2, 0, StreamKind::Sender);
+        for _ in 0..10 {
+            for v in [3u64, 9] {
+                client.observe(ka, v);
+            }
+            client.observe(kb, 5);
+        }
+        // Same rank + kind, different jobs: independent predictors.
+        assert_eq!(client.predict(ka, 1), Some(3));
+        assert_eq!(client.predict(kb, 1), Some(5));
+        assert_eq!(client.period_of(ka), Some(2));
+        assert_eq!(client.period_of(kb), Some(1));
+        assert_eq!(client.resident_jobs(), vec![1, 2]);
+        let jobs = client.job_metrics();
+        assert_eq!(jobs.len(), 2);
+        assert_eq!(jobs[0].1.events_ingested, 20);
+        assert_eq!(jobs[1].1.events_ingested, 10);
+        // Per-job forecasts come from the job's own namespace.
+        let mut advice = Vec::new();
+        client.forecast_messages_for_job(2, 0, 1, &mut advice);
+        assert_eq!(advice, vec![(Some(5), None)]);
+        // Evicting job 1 leaves job 2 untouched.
+        assert_eq!(client.evict_job(1), 1);
+        assert_eq!(client.resident_jobs(), vec![2]);
+        assert_eq!(client.predict(ka, 1), None, "evicted job restarts cold");
+        assert_eq!(client.predict(kb, 1), Some(5));
+    }
+
+    #[test]
+    fn metrics_aggregate_across_shards() {
+        let client = engine(4).client();
+        let batch = periodic_batch(8, 10, |_| vec![1, 2, 3]);
+        client.observe_batch(&batch);
+        let total = client.metrics_total();
+        assert_eq!(total.events_ingested, batch.len() as u64);
+        assert_eq!(total.resident_streams, 8);
+        assert!(total.hits > 0, "periodic streams must eventually hit");
+        assert!(total.max_batch_depth > 0);
+        let per_shard = client.metrics();
+        assert_eq!(per_shard.shards.len(), 4);
+        let sum: u64 = per_shard.shards.iter().map(|m| m.events_ingested).sum();
+        assert_eq!(sum, batch.len() as u64);
+    }
+
+    #[test]
+    fn empty_batch_is_a_noop() {
+        let client = engine(4).client();
+        client.observe_batch(&[]);
+        assert_eq!(client.metrics_total().events_ingested, 0);
+        assert_eq!(client.engine().clock(), 0);
+        let mut out = vec![Some(1)];
+        client.predict_batch(&[], &mut out);
+        assert!(out.is_empty(), "predict_batch clears stale output");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn zero_shards_panics() {
+        let _ = engine(0);
+    }
+
+    #[test]
+    fn ttl_evicts_idle_streams_and_reclaims_memory() {
+        let client = PersistentEngine::new(EngineConfig {
+            ttl: Some(50),
+            ..EngineConfig::with_shards(4)
+        })
+        .client();
+        // Rank 0 trains then goes idle; rank 1 keeps the clock moving.
+        let train = periodic_batch(1, 10, |_| vec![4, 5]);
+        client.observe_batch(&train);
+        assert_eq!(client.predict(skey(0), 1), Some(4));
+        let filler: Vec<Observation> = (0..100).map(|i| Observation::new(skey(1), i % 2)).collect();
+        client.observe_batch(&filler);
+        assert_eq!(client.predict(skey(0), 1), None, "expired stream");
+        client.sweep_expired();
+        assert_eq!(client.stream_count(), 1, "sweep reclaimed rank 0");
+        assert_eq!(client.metrics_total().evicted, 1);
+        // The stream restarts cold on return.
+        client.observe(skey(0), 4);
+        assert_eq!(client.period_of(skey(0)), None);
+    }
+
+    #[test]
+    fn forced_eviction_is_global_lru() {
+        let client = engine(4).client();
+        for r in 0..6u32 {
+            client.observe(skey(r), 1);
+        }
+        client.observe(skey(0), 2); // refresh rank 0
+        assert_eq!(client.evict_lru(2), 2, "ranks 1 and 2 are oldest");
+        assert_eq!(client.stream_count(), 4);
+        assert!(client.evict_stream(skey(0)));
+        assert_eq!(client.stream_count(), 3);
+        assert_eq!(client.metrics_total().evicted, 3);
+        assert_eq!(client.sweep_expired(), 0, "no ttl, nothing expires");
+    }
+
+    /// The worker applies each observe leg through the shard's one
+    /// batch loop: the leg's size lands in `max_batch_depth` and, with
+    /// telemetry on, the leg is timed once — per leg, not per batch.
+    #[test]
+    fn worker_legs_record_depth_and_one_timing_per_leg() {
+        let eng = PersistentEngine::new(
+            EngineConfig::with_shards(2).with_telemetry(mpp_telemetry::TelemetryConfig::enabled()),
+        );
+        let client = eng.client();
+        let ranks: Vec<u32> = (0..16).collect();
+        let on = |s: usize| ranks.iter().filter(|&&r| eng.shard_for(r) == s).count() as u64;
+        assert!(on(0) > 0 && on(1) > 0, "both shards get a leg");
+        for _ in 0..3 {
+            let batch: Vec<Observation> = ranks
+                .iter()
+                .flat_map(|&r| (0..5).map(move |i| Observation::new(skey(r), i % 2)))
+                .collect();
+            client.observe_batch(&batch);
+        }
+        let per_shard = client.metrics().shards;
+        for (s, m) in per_shard.iter().enumerate() {
+            assert_eq!(m.max_batch_depth, 5 * on(s), "shard {s} leg depth");
+            assert_eq!(m.events_ingested, 15 * on(s));
+        }
+        let snap = client.telemetry().expect("enabled");
+        assert_eq!(
+            snap.histogram("observe_batch_ns")
+                .expect("leg timings")
+                .count(),
+            6,
+            "3 batches x 2 legs"
+        );
     }
 
     #[test]

@@ -20,12 +20,10 @@
 //! into stable slot ids (fxhash-fronted map, contiguous slab, free-list
 //! reuse) and an intrusive last-seen-sorted LRU list is threaded through
 //! the slots. The ingest hot path therefore costs **at most one cheap
-//! hash per event** (zero on runs of the same stream, thanks to
-//! batch-local memoization in [`Shard::observe_indexed_at`] /
-//! [`Shard::observe_all_at`]), TTL sweeps pop expired slots off the
-//! list head in O(reclaimed), and LRU victim selection reads a bounded
-//! window instead of sorting the resident set — with victims provably
-//! identical to the old collect-and-sort (see [`select_lru_victims`]
+//! hash per event**, TTL sweeps pop expired slots off the list head in
+//! O(reclaimed), and LRU victim selection reads a bounded window
+//! instead of sorting the resident set — with victims provably
+//! identical to the old collect-and-sort (see `select_lru_victims`
 //! and `tests/stream_table.rs`). Each slot also carries a dense index
 //! into the shard's per-job rollup vector, so per-event job accounting
 //! is an array access, not a second map probe.
@@ -73,10 +71,10 @@
 //! touched again is counted evicted (and released) only once some sweep
 //! reaches it. The invariant holds whenever the shard's inputs are
 //! stamp-monotone **per job** (each job's stamps arrive no smaller than
-//! that job's watermark), which is guaranteed for the scoped engine and
-//! for any single client of the persistent engine — and is what lets
-//! persistent workers sweep only the shards that happen to receive
-//! traffic while staying bit-identical to the sequential reference
+//! that job's watermark), which is guaranteed for any single client of
+//! the persistent engine — and is what lets persistent workers sweep
+//! only the shards that happen to receive traffic while staying
+//! bit-identical to the sequential reference
 //! (property-tested in `tests/persistence.rs`). Concurrent clients
 //! racing on one job relax this to arrival order; see the
 //! [`persistent`](crate::persistent) docs. (Per-job stamp-monotone
@@ -84,7 +82,7 @@
 //! racy out-of-order stamp merely pays a short sorted re-insertion in
 //! its own domain.)
 
-use crate::engine::EnsembleConfig;
+use crate::config::EnsembleConfig;
 use crate::metrics::{JobMetrics, ModelStats, ShardMetrics};
 use crate::snapshot::{EnsembleStreamState, MemberState, ShardState, StreamState};
 use crate::stream_table::{SlotId, StreamTable};
@@ -120,10 +118,10 @@ pub(crate) fn is_expired(ttl: Option<u64>, last_seen: u64, now: u64) -> bool {
 }
 
 /// Orders LRU eviction candidates oldest-first — by last-observed
-/// stamp, ties broken by `(job, rank, kind)` so every execution mode
+/// stamp, ties broken by `(job, rank, kind)` so every shard count
 /// picks identical victims — and keeps the first `n`. The single
-/// definition of the LRU victim order, shared by [`Shard::lru_oldest`],
-/// `Engine::evict_lru` and `EngineClient::evict_lru`. The shard feeds
+/// definition of the LRU victim order, shared by [`Shard::lru_oldest`]
+/// and `EngineClient::evict_lru`. The shard feeds
 /// it a bounded [`StreamTable::oldest_window`] rather than the whole
 /// resident set; because the window provably contains every entry that
 /// can rank among the first `n`, the selected victims are identical.
@@ -642,105 +640,37 @@ impl Shard {
         self.observe_at(obs, self.clock + 1);
     }
 
-    /// Records a batch-leg size in the `max_batch_depth` high-water
-    /// mark (load-balance signal across shards).
-    #[inline]
-    pub fn note_batch_depth(&mut self, depth: u64) {
-        self.metrics.max_batch_depth = self.metrics.max_batch_depth.max(depth);
-    }
-
-    /// The memoized batch-ingest loop shared by both batch entry
-    /// points. NAS traces repeat the same stream in consecutive events,
-    /// so the loop memoizes the last `(key, slot)` pair and skips even
-    /// the fxhash probe on runs. The memo is sound because no observe
-    /// path frees a slot (lazy TTL resets in place), so a batch-local
-    /// id stays valid for the whole run.
-    fn observe_run(&mut self, events: impl Iterator<Item = (Observation, u64)>) {
-        let mut memo: Option<(StreamKey, SlotId)> = None;
-        for (obs, at) in events {
-            self.clock = self.clock.max(at);
-            let id = match memo {
-                Some((key, id)) if key == obs.key => id,
-                _ => {
-                    let id = self.slot_for(obs.key, at);
-                    memo = Some((obs.key, id));
-                    id
-                }
-            };
-            self.observe_slot(id, obs.value, at);
-        }
-    }
-
-    /// Ingests the subset of `batch` selected by `indices`, in order,
-    /// stamping element `i` of `batch` with engine time `base + i + 1`.
-    /// This is the per-shard leg of a batched ingest: `indices` is a
-    /// preallocated scratch buffer owned by the engine, so the steady
-    /// state allocates nothing (same-stream runs are memoized — see
-    /// [`Shard::observe_run`]).
-    pub fn observe_indexed_at(&mut self, batch: &[Observation], indices: &[u32], base: u64) {
-        let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        self.note_batch_depth(indices.len() as u64);
-        self.observe_run(
-            indices
-                .iter()
-                .map(|&i| (batch[i as usize], base + u64::from(i) + 1)),
-        );
-        if let (Some(t0), Some(tel)) = (t0, self.telemetry.as_deref()) {
-            tel.note_batch(t0.elapsed().as_nanos() as u64, indices.len());
-        }
-    }
-
-    /// Like [`Shard::observe_indexed_at`], but with explicit per-event
-    /// stamps: `stamps[i]` (parallel to `batch`, not to `indices`)
-    /// stamps `batch[i]`. This is the per-job time-domain ingest path —
-    /// the engine allocates each event's stamp from its job's clock and
-    /// hands the whole column down, so the shard never needs to know
-    /// the clock-allocation policy.
-    pub fn observe_indexed_stamped(
+    /// The batch ingest loop, shared by the persistent worker's observe
+    /// legs and [`Shard::observe_all_at`]: records the leg's size in the
+    /// `max_batch_depth` high-water mark (load-balance signal across
+    /// shards), times the leg when telemetry is on, and applies each
+    /// `(observation, stamp)` pair in order with [`Shard::observe_at`].
+    pub(crate) fn observe_leg(
         &mut self,
-        batch: &[Observation],
-        indices: &[u32],
-        stamps: &[u64],
+        events: impl ExactSizeIterator<Item = (Observation, u64)>,
     ) {
+        let n = events.len();
+        self.metrics.max_batch_depth = self.metrics.max_batch_depth.max(n as u64);
         let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        self.note_batch_depth(indices.len() as u64);
-        self.observe_run(
-            indices
-                .iter()
-                .map(|&i| (batch[i as usize], stamps[i as usize])),
-        );
-        if let (Some(t0), Some(tel)) = (t0, self.telemetry.as_deref()) {
-            tel.note_batch(t0.elapsed().as_nanos() as u64, indices.len());
+        for (obs, at) in events {
+            self.observe_at(obs, at);
         }
-    }
-
-    /// Like [`Shard::observe_all_at`], but with explicit per-event
-    /// stamps (`stamps[i]` stamps `batch[i]`) — the single-shard fast
-    /// path of the per-job time-domain ingest.
-    pub fn observe_all_stamped(&mut self, batch: &[Observation], stamps: &[u64]) {
-        let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        self.note_batch_depth(batch.len() as u64);
-        self.observe_run(batch.iter().zip(stamps).map(|(obs, &at)| (*obs, at)));
         if let (Some(t0), Some(tel)) = (t0, self.telemetry.as_deref()) {
-            tel.note_batch(t0.elapsed().as_nanos() as u64, batch.len());
+            tel.note_batch(t0.elapsed().as_nanos() as u64, n);
         }
     }
 
     /// Ingests every event of `batch`, in order, stamped from
-    /// `base + 1` (single-shard fast path: no partitioning needed).
-    /// Memoized like [`Shard::observe_indexed_at`].
+    /// `base + 1`, as one leg: the leg's size is recorded in
+    /// `max_batch_depth` and, with telemetry on, the leg is timed —
+    /// the same loop a persistent worker runs per observe leg.
     pub fn observe_all_at(&mut self, batch: &[Observation], base: u64) {
-        let t0 = self.telemetry.as_ref().map(|_| Instant::now());
-        self.note_batch_depth(batch.len() as u64);
-        self.observe_run(
+        self.observe_leg(
             batch
                 .iter()
                 .enumerate()
                 .map(|(i, obs)| (*obs, base + i as u64 + 1)),
         );
-        if let (Some(t0), Some(tel)) = (t0, self.telemetry.as_deref()) {
-            tel.note_batch(t0.elapsed().as_nanos() as u64, batch.len());
-        }
     }
 
     /// Serves one query at engine time `now`. Returns `None` for
@@ -1452,14 +1382,13 @@ mod tests {
     }
 
     #[test]
-    fn observe_indexed_tracks_queue_depth() {
+    fn batch_ingest_tracks_queue_depth() {
         let mut shard = Shard::new(DpdConfig::default());
         let batch: Vec<Observation> = (0..5).map(|i| Observation::new(key(0), i % 2)).collect();
-        let idx: Vec<u32> = (0..5).collect();
-        shard.observe_indexed_at(&batch, &idx, 0);
+        shard.observe_all_at(&batch, 0);
         assert_eq!(shard.metrics().max_batch_depth, 5);
         assert_eq!(shard.metrics().events_ingested, 5);
-        shard.observe_indexed_at(&batch, &idx[..2], 5);
+        shard.observe_all_at(&batch[..2], 5);
         assert_eq!(
             shard.metrics().max_batch_depth,
             5,
@@ -1468,9 +1397,9 @@ mod tests {
     }
 
     #[test]
-    fn memoized_batch_ingest_equals_per_event_ingest() {
-        // Runs of one stream (memo hits) interleaved with switches
-        // (memo misses): both ingest paths must agree exactly.
+    fn batch_ingest_equals_per_event_ingest() {
+        // Runs of one stream interleaved with switches: both ingest
+        // paths must agree exactly.
         let mut batch = Vec::new();
         for i in 0..120u64 {
             let r = if i % 10 < 7 { 0 } else { (i % 3) as u32 + 1 };

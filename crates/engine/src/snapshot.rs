@@ -57,7 +57,7 @@
 //! (queue caps, backpressure, parallelism thresholds — free to differ
 //! across the cut).
 
-use crate::engine::{EngineConfig, EnsembleConfig};
+use crate::config::{EngineConfig, EnsembleConfig};
 use crate::metrics::{JobMetrics, ModelStats, ShardMetrics};
 use crate::types::{JobId, StreamKey, StreamKind};
 use fxhash::FxHashSet;
@@ -269,8 +269,9 @@ pub(crate) struct JobSnapshot {
 }
 
 /// FNV-1a 64-bit: tiny, dependency-free, and plenty for bit-rot
-/// detection (not a cryptographic seal).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// detection (not a cryptographic seal). The one checksum of every
+/// on-disk format: snapshots, observation-log frames and the pin table.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -1090,6 +1091,17 @@ fn check_stream(
 mod tests {
     use super::*;
 
+    /// The checksum is part of every on-disk format, so it is pinned to
+    /// the published FNV-1a 64 vectors rather than only round-tripped:
+    /// a changed constant would still round-trip, while every file
+    /// already written would stop loading.
+    #[test]
+    fn fnv1a_matches_the_published_64_bit_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
     fn sample_engine_snapshot() -> EngineSnapshot {
         let stream = StreamState {
             key: StreamKey::for_job(2, 7, StreamKind::Size),
@@ -1356,33 +1368,35 @@ mod tests {
     // before any engine state is built or replaced.
     // -----------------------------------------------------------------
 
-    use crate::engine::Engine;
-    use crate::persistent::PersistentEngine;
+    use crate::persistent::{EngineClient, PersistentEngine};
+    use crate::types::Observation;
 
     /// A two-shard engine with the standard ensemble, holding jobs 1
     /// and 2 on four ranks each, and its config.
-    fn trained_engine() -> (EngineConfig, Engine) {
+    fn trained_engine() -> (EngineConfig, EngineClient) {
         let cfg = EngineConfig::with_shards(2).with_ensemble(EnsembleConfig::standard());
-        let mut eng = Engine::new(cfg.clone());
+        let eng = PersistentEngine::new(cfg.clone()).client();
+        let mut batch = Vec::new();
         for i in 0..300u64 {
             for job in [1, 2] {
                 for rank in 0..4u32 {
                     let key = StreamKey::for_job(job, rank, StreamKind::Sender);
-                    eng.observe(key, (i + u64::from(rank)) % 5);
+                    batch.push(Observation::new(key, (i + u64::from(rank)) % 5));
                 }
             }
         }
+        eng.observe_batch(&batch);
         (cfg, eng)
     }
 
     /// Spoils job 1's stream records with `spoil`, which gets the list
     /// holding them and the index of one, and restores the result
-    /// everywhere a snapshot enters an engine: the engine snapshot into
-    /// a scoped and a persistent engine, and job 1's snapshot through
-    /// `restore_job` into scoped and persistent engines that already
-    /// hold job 1. Each must fail with `Malformed(engine_msg)` or
-    /// `Malformed(job_msg)`, and the job targets must keep serving
-    /// their old state.
+    /// everywhere a snapshot enters an engine: the engine snapshot
+    /// through `PersistentEngine::restore`, and job 1's snapshot
+    /// through `restore_job` into an engine that already holds job 1.
+    /// Each must fail with `Malformed(engine_msg)` or
+    /// `Malformed(job_msg)`, and the job target must keep serving its
+    /// old state.
     fn assert_rejected(
         engine_msg: &str,
         job_msg: &str,
@@ -1406,7 +1420,6 @@ mod tests {
             .expect("job 1 has streams");
         spoil(streams, i);
         let bytes = encode_engine(&snap);
-        malformed(Engine::restore(cfg.clone(), &bytes).map(drop), engine_msg);
         malformed(
             PersistentEngine::restore(cfg.clone(), &bytes).map(drop),
             engine_msg,
@@ -1416,11 +1429,7 @@ mod tests {
         spoil(&mut job.streams, 0);
         let bytes = encode_job(&job);
         let key = StreamKey::for_job(1, 0, StreamKind::Sender);
-        let expect = Engine::restore(cfg.clone(), &good).unwrap().predict(key, 1);
-        let mut scoped = Engine::restore(cfg.clone(), &good).unwrap();
-        malformed(scoped.restore_job(&bytes).map(drop), job_msg);
-        assert_eq!(scoped.stream_count(), eng.stream_count());
-        assert_eq!(scoped.predict(key, 1), expect);
+        let expect = eng.predict(key, 1);
         let persistent = PersistentEngine::restore(cfg, &good).unwrap();
         let client = persistent.client();
         malformed(client.restore_job(&bytes).map(drop), job_msg);

@@ -21,7 +21,7 @@
 //! ≤ 3 % overhead budget for a precision the batch mean already
 //! captures.
 
-use crate::engine::EnsembleConfig;
+use crate::config::EnsembleConfig;
 use crate::metrics::{ModelStats, ShardMetrics};
 use crate::types::{JobId, RankId, StreamKey};
 use mpp_core::PredictorKind;

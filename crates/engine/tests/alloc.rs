@@ -1,22 +1,22 @@
 //! Steady-state allocation audit: once slots, interners and scratch
-//! buffers are warm, repeated `observe_batch` + `forecast_at` rounds on
-//! the scoped engine must allocate **nothing** — the "cheap enough for
-//! the MPI critical path" claim (§2.1) made checkable. The audit runs
-//! twice: with telemetry disabled and with it enabled, because the
-//! telemetry layer's zero-cost claim is precisely that recording into
-//! its fixed atomic histogram buckets and pre-allocated flight ring
-//! adds clock reads, never allocations.
+//! buffers are warm, repeated batch ingest + forecast + sweep rounds on
+//! a [`Shard`] — the single-threaded unit every engine worker drives —
+//! must allocate **nothing**: the "cheap enough for the MPI critical
+//! path" claim (§2.1) made checkable. The audit runs twice: with
+//! telemetry disabled and with it enabled, because the telemetry
+//! layer's zero-cost claim is precisely that recording into its fixed
+//! atomic histogram buckets and pre-allocated flight ring adds clock
+//! reads, never allocations.
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`. The
 //! binary contains exactly this one test, so no concurrent test thread
-//! can pollute the counter. The scoped engine is driven inline
-//! (`parallel_threshold: usize::MAX`) because spawning scoped worker
-//! threads allocates by design; the persistent mode's per-batch channel
+//! can pollute the counter. The persistent engine's per-batch channel
 //! legs are pool-recycled but its query replies allocate per call —
 //! that path is documented as re-plan-rate, not event-rate, in the
 //! crate docs.
 
-use mpp_engine::{Engine, EngineConfig, Observation, StreamKey, StreamKind, TelemetryConfig};
+use mpp_core::dpd::DpdConfig;
+use mpp_engine::{Observation, Shard, StreamKey, StreamKind, TelemetryConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,59 +67,71 @@ fn batch(ranks: u32) -> Vec<Observation> {
     out
 }
 
-/// Runs the warmup + measured rounds on one engine configuration and
+/// Idle-stream TTL of the audited shard: far above any stream's gap
+/// (96 events) so nothing expires, but below a round's 768 events so
+/// the throttled sweep (at most every `TTL / 2` events) runs in every
+/// round.
+const TTL: u64 = 1_000;
+
+/// One round: ingest `events` as one leg stamped from `base + 1`, run
+/// the throttled sweep, then forecast every rank.
+fn round(
+    shard: &mut Shard,
+    events: &[Observation],
+    base: &mut u64,
+    forecast: &mut Vec<(Option<u64>, Option<u64>)>,
+) {
+    shard.observe_all_at(events, *base);
+    *base += events.len() as u64;
+    assert_eq!(
+        shard.maybe_sweep(*base),
+        0,
+        "no stream is idle past the TTL"
+    );
+    for rank in 0..32 {
+        shard.forecast_at(0, rank, 5, *base, forecast);
+        assert_eq!(forecast.len(), 5);
+    }
+}
+
+/// Runs the warmup + measured rounds on one shard configuration and
 /// asserts the measured rounds allocated exactly zero times.
 fn audit_steady_state(telemetry: bool) {
     let events = batch(32);
-    let mut cfg = EngineConfig {
-        shards: 2,
-        // Inline execution: scoped thread spawns allocate by design.
-        parallel_threshold: usize::MAX,
-        // A TTL exercises the expiry arithmetic and the (empty) sweep
-        // pops on the hot path; the streams stay fresh, so nothing is
-        // ever actually reclaimed mid-measurement.
-        ttl: Some(1_000_000),
-        ..EngineConfig::with_shards(2)
-    };
+    let mut shard = Shard::with_ttl(DpdConfig::default(), Some(TTL));
     if telemetry {
-        cfg = cfg.with_telemetry(TelemetryConfig::enabled());
+        shard.enable_telemetry(&TelemetryConfig::enabled(), 0);
     }
-    let mut engine = Engine::new(cfg);
     let mut forecast = Vec::new();
+    let mut base = 0u64;
 
     // Warm-up: create slots, grow interners, size every scratch buffer.
     for _ in 0..3 {
-        engine.observe_batch(&events);
-        for rank in 0..32 {
-            engine.forecast_messages(rank, 5, &mut forecast);
-        }
+        round(&mut shard, &events, &mut base, &mut forecast);
     }
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..5 {
-        engine.observe_batch(&events);
-        for rank in 0..32 {
-            engine.forecast_messages(rank, 5, &mut forecast);
-            assert_eq!(forecast.len(), 5);
-        }
+        round(&mut shard, &events, &mut base, &mut forecast);
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(
         after - before,
         0,
-        "steady-state observe_batch + forecast_at must not allocate \
+        "steady-state observe_all_at + maybe_sweep + forecast_at must not allocate \
          (telemetry={telemetry})"
     );
 
-    // Sanity: the engine really did the work.
-    let total = engine.metrics_total();
+    // Sanity: the shard really did the work.
+    let total = shard.metrics();
     assert_eq!(total.events_ingested, 8 * events.len() as u64);
     assert_eq!(total.forecasts_served, 8 * 32);
+    assert_eq!(total.evicted, 0);
     assert!(total.hits > 0);
     if telemetry {
-        let snap = engine.telemetry().expect("telemetry enabled");
+        let snap = shard.telemetry_snapshot().expect("telemetry enabled");
         let h = snap.histogram("observe_batch_ns").expect("batch latency");
-        assert!(h.count() >= 16, "both shards timed all 8 rounds");
+        assert_eq!(h.count(), 8, "every round's leg was timed");
         assert!(
             snap.histogram("forecast_ns")
                 .expect("forecast latency")

@@ -2,8 +2,8 @@
 //! load-bearing properties.
 //!
 //! * **`Block` is semantics-free.** A bounded engine in `Block` mode is
-//!   bit-identical to the unbounded engine and to the scoped sequential
-//!   reference, for any shard count, batch split and queue capacity —
+//!   bit-identical to the unbounded engine and to an unbounded one-shard
+//!   engine, for any shard count, batch split and queue capacity —
 //!   bounding the lanes is purely a memory/pressure device (proptest
 //!   below).
 //! * **A slow shard cannot deadlock or corrupt.** With a tiny
@@ -20,8 +20,8 @@
 
 use mpp_core::dpd::DpdConfig;
 use mpp_engine::{
-    BackpressurePolicy, Engine, EngineConfig, EngineMetrics, Observation, ObserveOutcome,
-    PersistentEngine, Query, StreamKey, StreamKind, WorkerGone,
+    BackpressurePolicy, EngineConfig, EngineMetrics, Observation, ObserveOutcome, PersistentEngine,
+    Query, StreamKey, StreamKind, WorkerGone,
 };
 use proptest::prelude::*;
 use std::panic::AssertUnwindSafe;
@@ -140,7 +140,7 @@ fn slow_shard_with_tiny_cap_blocks_without_deadlock_and_keeps_exact_parity() {
     assert!(multi.queue_high_water >= 1 && multi.queue_high_water <= CAP as u64);
 
     // Exact scoring parity with a sequential single-shard reference.
-    let mut reference = Engine::new(EngineConfig::with_shards(1));
+    let reference = PersistentEngine::new(EngineConfig::with_shards(1)).client();
     let mut batch = Vec::with_capacity(BATCH);
     for r in 0..RANKS {
         for step in 0..EVENTS_PER_RANK {
@@ -283,9 +283,9 @@ proptest! {
 
     /// The acceptance property: for any shard count, batch split, queue
     /// capacity and TTL setting, `Block`-mode bounded ingestion is
-    /// bit-identical to the unbounded persistent engine and to the
-    /// scoped sequential reference — mid-sequence and at the end, for
-    /// every stream and horizon, including the scored metrics.
+    /// bit-identical to the unbounded engine and to an unbounded
+    /// one-shard engine — mid-sequence and at the end, for every stream
+    /// and horizon, including the scored metrics.
     #[test]
     fn bounded_block_ingestion_is_bit_identical_to_unbounded(
         raw_batches in prop::collection::vec((0u32..6, 0u8..3, 0u64..5, 1u8..24), 1..30),
@@ -298,7 +298,6 @@ proptest! {
         let base = EngineConfig {
             shards,
             dpd,
-            parallel_threshold: 0,
             ttl,
             ..EngineConfig::default()
         };
@@ -309,7 +308,7 @@ proptest! {
         let bounded = bounded_eng.client();
         let unbounded_eng = PersistentEngine::new(base.clone());
         let unbounded = unbounded_eng.client();
-        let mut scoped = Engine::new(base);
+        let solo = PersistentEngine::new(EngineConfig { shards: 1, ..base }).client();
 
         for (r, k, v, len) in raw_batches {
             let batch: Vec<Observation> = (0..u64::from(len))
@@ -323,11 +322,11 @@ proptest! {
             prop_assert_eq!(outcome.shed, 0, "Block mode must never shed");
             prop_assert_eq!(outcome.enqueued, batch.len() as u64);
             unbounded.observe_batch(&batch);
-            scoped.observe_batch(&batch);
+            solo.observe_batch(&batch);
             // Mid-sequence spot check on the batch's first stream.
             if let Some(first) = batch.first() {
                 for h in 1..=P_HORIZONS {
-                    let want = scoped.predict(first.key, h);
+                    let want = solo.predict(first.key, h);
                     prop_assert_eq!(bounded.predict(first.key, h), want,
                         "bounded diverged mid-sequence on {:?} +{}", first.key, h);
                     prop_assert_eq!(unbounded.predict(first.key, h), want,
@@ -346,7 +345,7 @@ proptest! {
             }
         }
         let mut want = Vec::new();
-        scoped.predict_batch(&queries, &mut want);
+        solo.predict_batch(&queries, &mut want);
         let mut got = Vec::new();
         bounded.predict_batch(&queries, &mut got);
         prop_assert_eq!(&got, &want, "bounded final state diverged");
@@ -356,7 +355,7 @@ proptest! {
         let (bm, um, sm) = (
             bounded.metrics_total(),
             unbounded.metrics_total(),
-            scoped.metrics_total(),
+            solo.metrics_total(),
         );
         prop_assert_eq!(bm.events_ingested, sm.events_ingested);
         prop_assert_eq!(bm.hits, sm.hits, "bounded scoring diverged");

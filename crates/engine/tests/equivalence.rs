@@ -6,7 +6,7 @@
 
 use mpp_core::dpd::{DpdConfig, DpdPredictor};
 use mpp_core::predictors::Predictor;
-use mpp_engine::{Engine, EngineConfig, Observation, Query, StreamKey, StreamKind};
+use mpp_engine::{EngineConfig, Observation, PersistentEngine, Query, StreamKey, StreamKind};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -43,14 +43,13 @@ proptest! {
         let events: Vec<Observation> =
             raw.iter().map(|&(r, k, v)| decode(r, k, v)).collect();
 
-        let mut engine = Engine::new(EngineConfig {
+        let engine = PersistentEngine::new(EngineConfig {
             shards,
             dpd: cfg.clone(),
-            // Exercise the threaded path even on small batches.
-            parallel_threshold: 0,
             ttl: None,
             ..EngineConfig::default()
-        });
+        })
+        .client();
         for chunk in events.chunks(batch_size.max(1)) {
             engine.observe_batch(chunk);
         }
@@ -88,18 +87,18 @@ proptest! {
         let events: Vec<Observation> =
             raw.iter().map(|&(r, k, v)| decode(r, k, v)).collect();
         let build = |shards: usize| {
-            let mut e = Engine::new(EngineConfig {
+            let e = PersistentEngine::new(EngineConfig {
                 shards,
                 dpd: DpdConfig { window: 64, max_lag: 16, ..DpdConfig::default() },
-                parallel_threshold: 0,
                 ttl: None,
                 ..EngineConfig::default()
-            });
+            })
+            .client();
             e.observe_batch(&events);
             e
         };
-        let mut a = build(shards_a);
-        let mut b = build(shards_b);
+        let a = build(shards_a);
+        let b = build(shards_b);
         let queries: Vec<Query> = events
             .iter()
             .flat_map(|o| (1..=3u32).map(move |h| Query::new(o.key, h)))
@@ -129,13 +128,12 @@ proptest! {
         let cfg = EngineConfig {
             shards,
             dpd: DpdConfig { window: 32, max_lag: 8, ..DpdConfig::default() },
-            parallel_threshold: 0,
             ttl: None,
             ..EngineConfig::default()
         };
-        let mut whole = Engine::new(cfg.clone());
+        let whole = PersistentEngine::new(cfg.clone()).client();
         whole.observe_batch(&events);
-        let mut single = Engine::new(cfg);
+        let single = PersistentEngine::new(cfg).client();
         for obs in &events {
             single.observe(obs.key, obs.value);
         }

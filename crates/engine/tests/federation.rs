@@ -6,7 +6,7 @@
 //!   one bank per job) — for any member count, shard count, batch
 //!   split, queue capacity and pinning. Federation, like sharding, is
 //!   a throughput device, never a semantics device. The per-job metric
-//!   rollups equal a single scoped engine fed the same sequence.
+//!   rollups equal a single one-shard engine fed the same sequence.
 //! * **Job isolation.** Flooding and then evicting job A changes
 //!   *nothing* observable about job B: predictions, periods,
 //!   confidence and B's `JobMetrics` rollup are all unchanged. Time
@@ -28,8 +28,8 @@
 use mpp_core::dpd::{DpdConfig, DpdPredictor};
 use mpp_core::predictors::Predictor;
 use mpp_engine::{
-    Engine, EngineConfig, FederatedEngine, FederationConfig, FederationWorkerGone, JobId,
-    Observation, ObserveOutcome, Query, StreamKey, StreamKind, WorkerGone,
+    EngineConfig, FederatedEngine, FederationConfig, FederationWorkerGone, JobId, Observation,
+    ObserveOutcome, PersistentEngine, Query, StreamKey, StreamKind, WorkerGone,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -69,7 +69,7 @@ proptest! {
     /// batch split, queue capacity and pin, a K-job interleaved
     /// workload through the federation is bit-identical to K
     /// independent sequential references, and the per-job rollups
-    /// equal a single scoped engine fed the same interleaved sequence.
+    /// equal a single one-shard engine fed the same interleaved sequence.
     #[test]
     fn k_job_federated_replay_is_bit_identical_to_k_references(
         raw in prop::collection::vec((0u32..RANKS, 0u8..3, 0u64..6), 0..240),
@@ -84,7 +84,6 @@ proptest! {
         let member_cfg = EngineConfig {
             shards,
             dpd: dpd.clone(),
-            parallel_threshold: 0,
             ttl: None,
             ..EngineConfig::default()
         };
@@ -96,7 +95,6 @@ proptest! {
         let fed = FederatedEngine::new(FederationConfig {
             members,
             member: member_cfg.clone(),
-            adaptive: None,
             rebalance: None,
         });
         // Exercise the explicit pinning API: one job is pinned to an
@@ -116,8 +114,8 @@ proptest! {
         }
 
         // One independent reference bank per job, fed only its events.
-        let mut scoped = Engine::new(EngineConfig { shards: 1, ..member_cfg });
-        scoped.observe_batch(&events);
+        let solo = PersistentEngine::new(EngineConfig { shards: 1, ..member_cfg }).client();
+        solo.observe_batch(&events);
         for job in 0..jobs {
             let own: Vec<Observation> =
                 events.iter().copied().filter(|o| o.key.job == job).collect();
@@ -142,13 +140,13 @@ proptest! {
             let mut got = Vec::new();
             client.predict_batch(&queries, &mut got);
             prop_assert_eq!(&got, &expected, "job {} diverged from its reference", job);
-            // Scoring rollups: federated == single scoped engine.
+            // Scoring rollups: federated == single one-shard engine.
             let fed_roll = client
                 .job_metrics()
                 .into_iter()
                 .find(|&(j, _)| j == job)
                 .map(|(_, m)| m);
-            let scoped_roll = scoped
+            let solo_roll = solo
                 .job_metrics()
                 .into_iter()
                 .find(|&(j, _)| j == job)
@@ -156,9 +154,9 @@ proptest! {
             prop_assert_eq!(
                 fed_roll.map(|m| (m.events_ingested, m.hits, m.misses, m.abstentions,
                                   m.period_churn, m.resident_streams)),
-                scoped_roll.map(|m| (m.events_ingested, m.hits, m.misses, m.abstentions,
-                                     m.period_churn, m.resident_streams)),
-                "job {} rollup diverged from the scoped reference", job
+                solo_roll.map(|m| (m.events_ingested, m.hits, m.misses, m.abstentions,
+                                   m.period_churn, m.resident_streams)),
+                "job {} rollup diverged from the one-shard reference", job
             );
             prop_assert_eq!(
                 fed_roll.map_or(0, |m| m.resident_streams) as usize,
@@ -198,14 +196,12 @@ proptest! {
         let member_cfg = EngineConfig {
             shards,
             dpd,
-            parallel_threshold: 0,
             ttl,
             ..EngineConfig::default()
         };
         let fed_of = || FederatedEngine::new(FederationConfig {
             members,
             member: member_cfg.clone(),
-            adaptive: None,
             rebalance: None,
         });
         let control = fed_of();
@@ -484,20 +480,17 @@ proptest! {
         let member_cfg = EngineConfig {
             shards,
             dpd,
-            parallel_threshold: 0,
             ttl: None,
             ..EngineConfig::default()
         };
         let control = FederatedEngine::new(FederationConfig {
             members,
             member: member_cfg.clone(),
-            adaptive: None,
             rebalance: None,
         });
         let trial = FederatedEngine::new(FederationConfig {
             members,
             member: member_cfg.clone(),
-            adaptive: None,
             rebalance: Some(mpp_engine::RebalanceConfig {
                 headroom: 0,
                 max_moves_per_epoch: 4,

@@ -1,16 +1,15 @@
 //! The persistent engine's load-bearing property: for ANY interleaving
 //! of observe/predict batches, forced evictions, TTL expiries and
-//! memory-reclamation sweeps, the persistent-worker engine is
-//! bit-identical to (a) the scoped engine fed the same operations and
-//! (b) the sequential reference of one raw-symbol `DpdPredictor` per
-//! stream with the same eviction rule applied by hand — including
-//! across eviction-and-reload of a stream, which must restart cold.
+//! memory-reclamation sweeps, the persistent-worker engine at any shard
+//! count is bit-identical to (a) a one-shard engine fed the same
+//! operations and (b) the sequential reference of one raw-symbol
+//! `DpdPredictor` per stream with the same eviction rule applied by
+//! hand — including across eviction-and-reload of a stream, which must
+//! restart cold.
 
 use mpp_core::dpd::{DpdConfig, DpdPredictor};
 use mpp_core::predictors::Predictor;
-use mpp_engine::{
-    Engine, EngineConfig, Observation, PersistentEngine, Query, StreamKey, StreamKind,
-};
+use mpp_engine::{EngineConfig, Observation, PersistentEngine, Query, StreamKey, StreamKind};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -142,12 +141,12 @@ fn ttl_is_isolated_per_job_on_one_member() {
     let ecfg = EngineConfig {
         shards: 4,
         ttl: Some(TTL),
-        parallel_threshold: 0,
         ..EngineConfig::default()
     };
     let persistent = PersistentEngine::new(ecfg.clone());
     let client = persistent.client();
-    let mut scoped = Engine::new(ecfg);
+    let solo_engine = PersistentEngine::new(EngineConfig { shards: 1, ..ecfg });
+    let solo = solo_engine.client();
 
     // Train the quiet tenant, then leave it idle.
     let quiet_key = StreamKey::for_job(QUIET, 0, StreamKind::Sender);
@@ -155,10 +154,10 @@ fn ttl_is_isolated_per_job_on_one_member() {
         .map(|i| Observation::new(quiet_key, i % 2))
         .collect();
     client.observe_batch(&train);
-    scoped.observe_batch(&train);
+    solo.observe_batch(&train);
     let before = client.predict(quiet_key, 1);
     assert!(before.is_some(), "quiet stream trained to a lock");
-    assert_eq!(scoped.predict(quiet_key, 1), before);
+    assert_eq!(solo.predict(quiet_key, 1), before);
 
     // Flood the chatty tenant far past the quiet tenant's TTL.
     let flood: Vec<Observation> = (0..TTL * 40)
@@ -170,25 +169,25 @@ fn ttl_is_isolated_per_job_on_one_member() {
         })
         .collect();
     client.observe_batch(&flood);
-    scoped.observe_batch(&flood);
+    solo.observe_batch(&flood);
 
     // The quiet tenant aged 0 events on its own clock: still live,
     // still predicting the same value, and a sweep reclaims nothing
     // of it.
     client.sweep_expired();
-    scoped.sweep_expired();
+    solo.sweep_expired();
     assert_eq!(
         client.predict(quiet_key, 1),
         before,
         "flood expired a co-tenant"
     );
     assert_eq!(
-        scoped.predict(quiet_key, 1),
+        solo.predict(quiet_key, 1),
         before,
-        "flood expired a co-tenant (scoped)"
+        "flood expired a co-tenant (1 shard)"
     );
     assert!(client.resident_jobs().contains(&QUIET));
-    assert!(scoped.resident_jobs().contains(&QUIET));
+    assert!(solo.resident_jobs().contains(&QUIET));
 
     // Per-job time still expires: the quiet tenant's own next event
     // arrives after a gap beyond its TTL on its own clock — the
@@ -198,21 +197,21 @@ fn ttl_is_isolated_per_job_on_one_member() {
         .map(|i| Observation::new(StreamKey::for_job(QUIET, 9, StreamKind::Tag), i % 3))
         .collect();
     client.observe_batch(&idle);
-    scoped.observe_batch(&idle);
+    solo.observe_batch(&idle);
     let cold = client.predict(quiet_key, 1);
     assert_eq!(cold, None, "a job's own gap past TTL must still expire it");
-    assert_eq!(scoped.predict(quiet_key, 1), None);
+    assert_eq!(solo.predict(quiet_key, 1), None);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Any interleaving of observe/predict batches, forced evictions
-    /// and sweeps: persistent == scoped == sequential reference,
-    /// bit-for-bit, for every stream and horizon — under TTL expiry
-    /// and across eviction-and-reload.
+    /// and sweeps: `shards`-shard engine == one-shard engine ==
+    /// sequential reference, bit-for-bit, for every stream and horizon
+    /// — under TTL expiry and across eviction-and-reload.
     #[test]
-    fn persistent_matches_scoped_and_sequential_reference(
+    fn persistent_matches_one_shard_and_sequential_reference(
         raw_ops in prop::collection::vec(
             (0u8..8, 0u32..6, 0u8..3, 0u64..5, 0u8..20), 1..50),
         shards in 1usize..6,
@@ -225,13 +224,13 @@ proptest! {
         let ecfg = EngineConfig {
             shards,
             dpd: cfg.clone(),
-            parallel_threshold: 0,
             ttl,
             ..EngineConfig::default()
         };
         let persistent = PersistentEngine::new(ecfg.clone());
         let client = persistent.client();
-        let mut scoped = Engine::new(ecfg);
+        let solo_engine = PersistentEngine::new(EngineConfig { shards: 1, ..ecfg });
+        let solo = solo_engine.client();
         let mut reference = RefBank::new(cfg, ttl);
         let mut total_events = 0u64;
 
@@ -240,7 +239,7 @@ proptest! {
             match op {
                 Op::ObserveBatch(events) => {
                     client.observe_batch(events);
-                    scoped.observe_batch(events);
+                    solo.observe_batch(events);
                     reference.observe_batch(events);
                     total_events += events.len() as u64;
                 }
@@ -252,31 +251,31 @@ proptest! {
                             "persistent diverged mid-sequence on {:?} +{}", key, h
                         );
                         prop_assert_eq!(
-                            scoped.predict(*key, h), want,
-                            "scoped diverged mid-sequence on {:?} +{}", key, h
+                            solo.predict(*key, h), want,
+                            "1-shard diverged mid-sequence on {:?} +{}", key, h
                         );
                     }
                 }
                 Op::Evict(key) => {
                     // Evicted-and-reloaded streams must restart cold.
-                    // A *live* stream is resident in every mode, so both
-                    // engines must report it evicted; for expired streams
+                    // A *live* stream is resident in every engine, so
+                    // both must report it evicted; for expired streams
                     // the return value depends on the sweep schedule
-                    // (scoped sweeps every shard per batch, persistent
-                    // only busy shards), which is legitimately
-                    // mode-dependent and not asserted.
+                    // (workers sweep only the shards that receive
+                    // traffic), which legitimately depends on the shard
+                    // count and is not asserted.
                     let live = reference.live_contains(*key);
                     let a = client.evict_stream(*key);
-                    let b = scoped.evict_stream(*key);
+                    let b = solo.evict_stream(*key);
                     if live {
-                        prop_assert!(a && b, "live stream must be resident in both modes");
+                        prop_assert!(a && b, "live stream must be resident in both engines");
                     }
                     reference.evict(*key);
                 }
                 Op::Sweep => {
                     // Reclamation must never change anything observable.
                     client.sweep_expired();
-                    scoped.sweep_expired();
+                    solo.sweep_expired();
                 }
             }
         }
@@ -296,20 +295,20 @@ proptest! {
         let mut got = Vec::new();
         client.predict_batch(&queries, &mut got);
         prop_assert_eq!(&got, &expected, "persistent final state diverged");
-        scoped.predict_batch(&queries, &mut got);
-        prop_assert_eq!(&got, &expected, "scoped final state diverged");
+        solo.predict_batch(&queries, &mut got);
+        prop_assert_eq!(&got, &expected, "1-shard final state diverged");
 
-        // Metrics: both modes saw every event, and after a full sweep
+        // Metrics: both engines saw every event, and after a full sweep
         // both hold exactly the reference's live streams.
-        let (pm, sm) = (client.metrics_total(), scoped.metrics_total());
+        let (pm, sm) = (client.metrics_total(), solo.metrics_total());
         prop_assert_eq!(pm.events_ingested, total_events);
         prop_assert_eq!(sm.events_ingested, total_events);
-        prop_assert_eq!(pm.hits, sm.hits, "scoring diverged between modes");
+        prop_assert_eq!(pm.hits, sm.hits, "scoring diverged between shard counts");
         prop_assert_eq!(pm.misses, sm.misses);
         prop_assert_eq!(pm.abstentions, sm.abstentions);
         client.sweep_expired();
-        scoped.sweep_expired();
+        solo.sweep_expired();
         prop_assert_eq!(client.stream_count(), reference.live_count());
-        prop_assert_eq!(scoped.stream_count(), reference.live_count());
+        prop_assert_eq!(solo.stream_count(), reference.live_count());
     }
 }

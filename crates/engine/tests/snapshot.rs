@@ -1,11 +1,11 @@
 //! The snapshot subsystem's load-bearing properties.
 //!
 //! * **Restore-and-continue is invisible.** For any workload, cut
-//!   point, shard count and TTL, snapshotting an engine, restoring it
-//!   (same mode or across scoped ↔ persistent), and replaying the
-//!   rest of the workload yields predictions and scoring counters
-//!   bit-identical to the uninterrupted run. Within the scoped mode
-//!   the final snapshot *bytes* are identical too.
+//!   point, shard count and TTL, snapshotting an engine, restoring a
+//!   fresh worker fleet from the bytes, and replaying the rest of the
+//!   workload yields predictions and scoring counters bit-identical to
+//!   the uninterrupted run — and final snapshot *bytes* identical to
+//!   it, before and after a full sweep.
 //! * **Job snapshots re-partition.** A single job's snapshot restores
 //!   into an engine with a different shard count and serves the same
 //!   predictions (stream placement is a throughput device).
@@ -15,8 +15,8 @@
 
 use mpp_core::dpd::DpdConfig;
 use mpp_engine::{
-    Engine, EngineConfig, EnsembleConfig, Observation, PersistentEngine, Query, SnapshotError,
-    StreamKey, StreamKind, SNAPSHOT_VERSION,
+    EngineClient, EngineConfig, EnsembleConfig, Observation, PersistentEngine, Query,
+    SnapshotError, StreamKey, StreamKind, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -46,14 +46,39 @@ fn all_queries() -> Vec<Query> {
     out
 }
 
+/// A running engine and a client of it.
+fn engine_of(cfg: &EngineConfig) -> EngineClient {
+    PersistentEngine::new(cfg.clone()).client()
+}
+
+/// Ingests `events` one per batch, so batch-shape metrics cannot differ
+/// between runs that cut the same sequence at different points.
+fn feed(client: &EngineClient, events: &[Observation]) {
+    for e in events {
+        client.observe_batch(std::slice::from_ref(e));
+    }
+}
+
+/// Ingests `events[..cut]`, snapshots, restores a fresh worker fleet
+/// from the bytes and ingests the rest; returns the restored client.
+fn cut_and_continue(cfg: &EngineConfig, events: &[Observation], cut: usize) -> EngineClient {
+    let head = engine_of(cfg);
+    feed(&head, &events[..cut]);
+    let tail = PersistentEngine::restore(cfg.clone(), &head.snapshot())
+        .expect("a snapshot this engine just wrote must restore")
+        .client();
+    feed(&tail, &events[cut..]);
+    tail
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The acceptance property: snapshot → restore → continue is
-    /// bit-identical to never stopping, in and across both execution
-    /// modes, for any cut point, shard count and TTL — and a job
-    /// snapshot restored into a *different* shard count still serves
-    /// the job's exact predictions.
+    /// bit-identical to never stopping, for any cut point, shard count
+    /// and TTL — down to the final snapshot bytes, before and after a
+    /// full sweep — and a job snapshot restored into a *different*
+    /// shard count still serves the job's exact predictions.
     #[test]
     fn snapshot_restore_continue_is_bit_identical(
         raw in prop::collection::vec((0u32..JOBS, 0u32..RANKS, 0u8..3, 0u64..6), 1..250),
@@ -66,7 +91,6 @@ proptest! {
         let cfg = EngineConfig {
             shards,
             dpd: DpdConfig { window: 48, max_lag: 16, ..DpdConfig::default() },
-            parallel_threshold: 0,
             ttl,
             ..EngineConfig::default()
         };
@@ -76,97 +100,47 @@ proptest! {
             .collect();
         let cut = cut_sel % (events.len() + 1);
 
-        // Control: one scoped engine, never interrupted. One event per
-        // batch everywhere so batch-shape metrics can't differ between
-        // runs.
-        let mut control = Engine::new(cfg.clone());
-        for e in &events {
-            control.observe_batch(std::slice::from_ref(e));
-        }
+        // Control: one engine, never interrupted.
+        let control = engine_of(&cfg);
+        feed(&control, &events);
+        let tail = cut_and_continue(&cfg, &events, cut);
 
-        // Scoped trial: ingest to the cut, snapshot, restore, continue.
-        let mut head = Engine::new(cfg.clone());
-        for e in &events[..cut] {
-            head.observe_batch(std::slice::from_ref(e));
-        }
-        let bytes = head.snapshot();
-        let mut tail = Engine::restore(cfg.clone(), &bytes)
-            .expect("a snapshot this engine just wrote must restore");
-        for e in &events[cut..] {
-            tail.observe_batch(std::slice::from_ref(e));
-        }
         // Strongest form first: the final snapshots are byte-identical
-        // (taken before any query mutates served counters).
+        // (taken before any query mutates served counters), and stay so
+        // once both engines have reclaimed every expired stream.
         prop_assert_eq!(
             tail.snapshot(),
             control.snapshot(),
             "restored run's final snapshot diverged from the uninterrupted run"
         );
-
-        // Persistent trial: same cut, snapshot via the client,
-        // restore a fresh worker fleet from the bytes.
-        let phead = PersistentEngine::new(cfg.clone());
-        let pclient = phead.client();
-        for e in &events[..cut] {
-            pclient.observe_batch(std::slice::from_ref(e));
-        }
-        let pbytes = pclient.snapshot();
-        let ptail = PersistentEngine::restore(cfg.clone(), &pbytes)
-            .expect("persistent restore");
-        let ptail_client = ptail.client();
-        for e in &events[cut..] {
-            ptail_client.observe_batch(std::slice::from_ref(e));
-        }
-
-        // Cross-mode restore: the scoped engine's snapshot boots a
-        // persistent engine mid-workload (one wire format, one
-        // semantics).
-        let xtail = PersistentEngine::restore(cfg.clone(), &bytes)
-            .expect("cross-mode restore");
-        let xtail_client = xtail.client();
-        for e in &events[cut..] {
-            xtail_client.observe_batch(std::slice::from_ref(e));
-        }
-
-        // Sweep everything before comparing rollups: *when* expired
-        // streams get reclaimed is legitimately mode-dependent (scoped
-        // sweeps every shard per batch, persistent only busy shards),
-        // so eviction/residency counters only align after a full
-        // sweep. Predictions are sweep-invariant either way.
         control.sweep_expired();
         tail.sweep_expired();
-        ptail_client.sweep_expired();
-        xtail_client.sweep_expired();
+        prop_assert_eq!(
+            tail.snapshot(),
+            control.snapshot(),
+            "snapshots diverged after a full sweep"
+        );
 
         let queries = all_queries();
         let mut want = Vec::new();
         control.predict_batch(&queries, &mut want);
         let mut got = Vec::new();
         tail.predict_batch(&queries, &mut got);
-        prop_assert_eq!(&got, &want, "scoped restore-and-continue diverged");
-        ptail_client.predict_batch(&queries, &mut got);
-        prop_assert_eq!(&got, &want, "persistent restore-and-continue diverged");
-        xtail_client.predict_batch(&queries, &mut got);
-        prop_assert_eq!(&got, &want, "cross-mode restore-and-continue diverged");
+        prop_assert_eq!(&got, &want, "restore-and-continue diverged");
 
         // Scoring counters survive the cut exactly.
-        let (cm, tm, pm) = (control.metrics_total(), tail.metrics_total(),
-                            ptail_client.metrics_total());
+        let (cm, tm) = (control.metrics_total(), tail.metrics_total());
         prop_assert_eq!(cm.events_ingested, events.len() as u64);
         prop_assert_eq!(tm.events_ingested, cm.events_ingested);
-        prop_assert_eq!(pm.events_ingested, cm.events_ingested);
         prop_assert_eq!((tm.hits, tm.misses, tm.abstentions, tm.period_churn),
                         (cm.hits, cm.misses, cm.abstentions, cm.period_churn));
-        prop_assert_eq!((pm.hits, pm.misses, pm.abstentions, pm.period_churn),
-                        (cm.hits, cm.misses, cm.abstentions, cm.period_churn));
         prop_assert_eq!(control.job_metrics(), tail.job_metrics());
-        prop_assert_eq!(control.job_metrics(), ptail_client.job_metrics());
 
         // Job scope: job 0's snapshot restores into a fresh engine
         // with a different shard count and serves its predictions
         // bit-identically (streams re-partition).
         let jbytes = control.snapshot_job(0);
-        let mut fresh = Engine::new(EngineConfig { shards: other_shards, ..cfg });
+        let fresh = engine_of(&EngineConfig { shards: other_shards, ..cfg });
         fresh.restore_job(&jbytes).expect("job restore across shard counts");
         let jqueries: Vec<Query> = queries.iter().copied()
             .filter(|q| q.key.job == 0).collect();
@@ -186,12 +160,12 @@ proptest! {
         prop_assert_eq!(roll_of(control.job_metrics()), roll_of(fresh.job_metrics()));
     }
 
-    /// The ensemble extension of the acceptance property: with a full
-    /// challenger roster running (including mid-window champion scores
-    /// and challenger predictor state), snapshot → restore → continue
-    /// is still bit-identical to never stopping — predictions, legacy
-    /// counters, per-model rollups, and the final snapshot bytes all
-    /// survive the cut, in and across both execution modes.
+    /// The ensemble extension of the acceptance property: with the
+    /// full challenger roster running (including mid-window champion
+    /// scores and challenger predictor state), snapshot → restore →
+    /// continue is still bit-identical to never stopping — predictions,
+    /// legacy counters, per-model rollups, and the final snapshot bytes
+    /// all survive the cut.
     #[test]
     fn ensemble_snapshot_restore_continue_is_bit_identical(
         raw in prop::collection::vec((0u32..JOBS, 0u32..RANKS, 0u8..3, 0u64..6), 1..250),
@@ -199,14 +173,16 @@ proptest! {
         shards in 1usize..5,
         window in 4u32..24,
         min_lead in 1u32..5,
+        ttl_sel in 0u64..60,
     ) {
         // A short window so cuts land mid-window often, exercising the
         // partial window_seen/window_hits round-trip.
+        let ttl = if ttl_sel < 20 { None } else { Some(ttl_sel) };
         let cfg = EngineConfig {
             shards,
             dpd: DpdConfig { window: 48, max_lag: 16, ..DpdConfig::default() },
-            parallel_threshold: 0,
-            ensemble: EnsembleConfig { window, min_lead, ..EnsembleConfig::standard() },
+            ttl,
+            ensemble: EnsembleConfig { window, min_lead, ..EnsembleConfig::full() },
             ..EngineConfig::default()
         };
         let events: Vec<Observation> = raw
@@ -215,75 +191,60 @@ proptest! {
             .collect();
         let cut = cut_sel % (events.len() + 1);
 
-        let mut control = Engine::new(cfg.clone());
-        for e in &events {
-            control.observe_batch(std::slice::from_ref(e));
-        }
-
-        let mut head = Engine::new(cfg.clone());
-        for e in &events[..cut] {
-            head.observe_batch(std::slice::from_ref(e));
-        }
-        let bytes = head.snapshot();
-        let mut tail = Engine::restore(cfg.clone(), &bytes)
-            .expect("ensemble snapshot must restore");
-        for e in &events[cut..] {
-            tail.observe_batch(std::slice::from_ref(e));
-        }
+        let control = engine_of(&cfg);
+        feed(&control, &events);
+        let tail = cut_and_continue(&cfg, &events, cut);
+        let bytes = tail.snapshot();
+        prop_assert_eq!(
+            &bytes,
+            &control.snapshot(),
+            "ensemble restored run's final snapshot diverged"
+        );
+        control.sweep_expired();
+        tail.sweep_expired();
         prop_assert_eq!(
             tail.snapshot(),
             control.snapshot(),
-            "ensemble restored run's final snapshot diverged"
+            "ensemble snapshots diverged after a full sweep"
         );
-
-        // Cross-mode: the scoped snapshot boots a persistent fleet.
-        let ptail = PersistentEngine::restore(cfg.clone(), &bytes)
-            .expect("cross-mode ensemble restore");
-        let pclient = ptail.client();
-        for e in &events[cut..] {
-            pclient.observe_batch(std::slice::from_ref(e));
-        }
 
         let queries = all_queries();
         let mut want = Vec::new();
         control.predict_batch(&queries, &mut want);
         let mut got = Vec::new();
         tail.predict_batch(&queries, &mut got);
-        prop_assert_eq!(&got, &want, "scoped ensemble restore diverged");
-        pclient.predict_batch(&queries, &mut got);
-        prop_assert_eq!(&got, &want, "persistent ensemble restore diverged");
+        prop_assert_eq!(&got, &want, "ensemble restore diverged");
 
-        // Per-model rollups survive the cut exactly, in both modes.
+        // Per-model rollups survive the cut exactly.
         prop_assert_eq!(control.model_stats(), tail.model_stats());
-        prop_assert_eq!(control.model_stats(), pclient.model_stats());
         prop_assert_eq!(control.job_model_stats(), tail.job_model_stats());
-        prop_assert_eq!(control.job_model_stats(), pclient.job_model_stats());
         prop_assert_eq!(control.job_metrics(), tail.job_metrics());
 
         // An ensemble snapshot binds to its roster: restoring into a
         // DPD-only engine is a typed ConfigMismatch, never a misparse.
         let plain = EngineConfig { ensemble: EnsembleConfig::default(), ..cfg };
         prop_assert!(matches!(
-            Engine::restore(plain, &bytes),
+            PersistentEngine::restore(plain, &bytes),
             Err(SnapshotError::ConfigMismatch(_))
         ));
     }
 }
 
-/// Builds a small trained engine and returns it with its snapshot.
-fn trained_engine() -> (Engine, Vec<u8>) {
-    let mut engine = Engine::new(EngineConfig {
+/// Builds a small trained engine and returns its config with its
+/// snapshot.
+fn trained_engine() -> (EngineConfig, Vec<u8>) {
+    let cfg = EngineConfig {
         shards: 2,
         ttl: Some(100),
-        parallel_threshold: 0,
         ..EngineConfig::default()
-    });
+    };
+    let engine = engine_of(&cfg);
     let batch: Vec<Observation> = (0..60)
         .map(|i| decode_event((i % 3) as u32, (i % 5) as u32, (i % 3) as u8, i))
         .collect();
     engine.observe_batch(&batch);
     let bytes = engine.snapshot();
-    (engine, bytes)
+    (cfg, bytes)
 }
 
 /// A snapshot written by a newer format version is rejected with the
@@ -291,12 +252,12 @@ fn trained_engine() -> (Engine, Vec<u8>) {
 /// versions both reported — not misparsed.
 #[test]
 fn future_version_snapshot_fails_typed() {
-    let (engine, mut bytes) = trained_engine();
+    let (cfg, mut bytes) = trained_engine();
     // The version field is the u32 after the 8-byte magic.
     let v = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     assert_eq!(v, SNAPSHOT_VERSION);
     bytes[8..12].copy_from_slice(&(SNAPSHOT_VERSION + 1).to_le_bytes());
-    match Engine::restore(engine.config().clone(), &bytes) {
+    match PersistentEngine::restore(cfg, &bytes) {
         Err(SnapshotError::VersionMismatch { found, supported }) => {
             assert_eq!(found, SNAPSHOT_VERSION + 1);
             assert_eq!(supported, SNAPSHOT_VERSION);
@@ -309,13 +270,12 @@ fn future_version_snapshot_fails_typed() {
 /// flipped payload byte, truncation.
 #[test]
 fn corrupted_snapshots_fail_typed() {
-    let (engine, bytes) = trained_engine();
-    let cfg = engine.config().clone();
+    let (cfg, bytes) = trained_engine();
 
     let mut bad_magic = bytes.clone();
     bad_magic[0] ^= 0xFF;
     assert!(matches!(
-        Engine::restore(cfg.clone(), &bad_magic),
+        PersistentEngine::restore(cfg.clone(), &bad_magic),
         Err(SnapshotError::BadMagic)
     ));
 
@@ -323,19 +283,19 @@ fn corrupted_snapshots_fail_typed() {
     let mid = 20 + (flipped.len() - 28) / 2; // inside the payload
     flipped[mid] ^= 0x01;
     assert!(matches!(
-        Engine::restore(cfg.clone(), &flipped),
+        PersistentEngine::restore(cfg.clone(), &flipped),
         Err(SnapshotError::ChecksumMismatch { .. })
     ));
 
     assert!(matches!(
-        Engine::restore(cfg.clone(), &bytes[..bytes.len() - 1]),
+        PersistentEngine::restore(cfg.clone(), &bytes[..bytes.len() - 1]),
         Err(SnapshotError::Truncated { .. })
     ));
 
     let mut padded = bytes.clone();
     padded.push(0);
     assert!(matches!(
-        Engine::restore(cfg, &padded),
+        PersistentEngine::restore(cfg, &padded),
         Err(SnapshotError::TrailingBytes { extra: 1, offset }) if offset == bytes.len()
     ));
 }
@@ -345,14 +305,13 @@ fn corrupted_snapshots_fail_typed() {
 /// reported before any state moves.
 #[test]
 fn config_mismatch_fails_before_restoring() {
-    let (engine, bytes) = trained_engine();
-    let cfg = engine.config().clone();
+    let (cfg, bytes) = trained_engine();
 
     let more_shards = EngineConfig {
         shards: cfg.shards + 1,
         ..cfg.clone()
     };
-    match Engine::restore(more_shards, &bytes) {
+    match PersistentEngine::restore(more_shards, &bytes) {
         Err(SnapshotError::ConfigMismatch(msg)) => {
             assert!(msg.contains("shard"), "mismatch names the field: {msg}")
         }
@@ -364,21 +323,7 @@ fn config_mismatch_fails_before_restoring() {
         ..cfg
     };
     assert!(matches!(
-        Engine::restore(other_ttl, &bytes),
-        Err(SnapshotError::ConfigMismatch(_))
-    ));
-
-    // Persistent restore applies the same gate.
-    let (engine2, bytes2) = trained_engine();
-    let cfg2 = engine2.config().clone();
-    assert!(matches!(
-        PersistentEngine::restore(
-            EngineConfig {
-                shards: cfg2.shards + 1,
-                ..cfg2
-            },
-            &bytes2
-        ),
+        PersistentEngine::restore(other_ttl, &bytes),
         Err(SnapshotError::ConfigMismatch(_))
     ));
 }
@@ -397,14 +342,13 @@ proptest! {
         pad in 1usize..96,
         byte in 0u8..255,
     ) {
-        let (engine, bytes) = trained_engine();
-        let cfg = engine.config().clone();
+        let (cfg, bytes) = trained_engine();
 
         // Padding: any tail of repeated bytes after a valid frame.
         let mut padded = bytes.clone();
         padded.extend(std::iter::repeat_n(byte, pad));
         prop_assert_eq!(
-            Engine::restore(cfg.clone(), &padded).err(),
+            PersistentEngine::restore(cfg.clone(), &padded).err(),
             Some(SnapshotError::TrailingBytes {
                 extra: pad,
                 offset: bytes.len(),
@@ -416,7 +360,7 @@ proptest! {
         let mut doubled = bytes.clone();
         doubled.extend_from_slice(&bytes[..pad.min(bytes.len())]);
         prop_assert_eq!(
-            Engine::restore(cfg, &doubled).err(),
+            PersistentEngine::restore(cfg, &doubled).err(),
             Some(SnapshotError::TrailingBytes {
                 extra: pad.min(bytes.len()),
                 offset: bytes.len(),

@@ -10,7 +10,7 @@
 //!   matters, so thread interleaving must not move a single counter.
 
 use mpp_engine::{
-    Engine, EngineConfig, EngineMetrics, Observation, PersistentEngine, StreamKey, StreamKind,
+    EngineConfig, EngineMetrics, Observation, PersistentEngine, StreamKey, StreamKind,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -146,7 +146,7 @@ fn concurrent_clients_match_single_shard_run_exactly() {
 
     // Sequential single-shard reference: same per-stream order, so the
     // scored counters must agree to the last event.
-    let mut reference = Engine::new(EngineConfig::with_shards(1));
+    let reference = PersistentEngine::new(EngineConfig::with_shards(1)).client();
     let mut batch = Vec::with_capacity(BATCH);
     for r in 0..RANKS {
         for step in 0..EVENTS_PER_RANK {

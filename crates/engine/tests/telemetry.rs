@@ -6,9 +6,8 @@
 
 use mpp_core::dpd::DpdConfig;
 use mpp_engine::{
-    BackpressurePolicy, Engine, EngineConfig, FederatedEngine, FederationConfig, FlightKind,
-    Observation, PersistentEngine, Shard, StreamKey, StreamKind, TelemetryConfig,
-    TelemetrySnapshot,
+    BackpressurePolicy, EngineConfig, FederatedEngine, FederationConfig, FlightKind, Observation,
+    PersistentEngine, Shard, StreamKey, StreamKind, TelemetryConfig, TelemetrySnapshot,
 };
 use std::time::Duration;
 
@@ -49,8 +48,8 @@ fn assert_quantiles_monotone(snap: &TelemetrySnapshot, name: &str) {
 }
 
 #[test]
-fn scoped_snapshot_counters_match_shard_metrics_exactly() {
-    let mut eng = Engine::new(telemetry_cfg(3));
+fn snapshot_counters_match_shard_metrics_exactly() {
+    let eng = PersistentEngine::new(telemetry_cfg(3)).client();
     eng.observe_batch(&pattern_batch(8, 40));
     let mut out = Vec::new();
     eng.forecast_messages(0, 4, &mut out);
@@ -74,9 +73,9 @@ fn scoped_snapshot_counters_match_shard_metrics_exactly() {
 
 #[test]
 fn telemetry_disabled_is_none_everywhere_and_costs_no_snapshot() {
-    let mut eng = Engine::new(EngineConfig::with_shards(2));
-    eng.observe_batch(&pattern_batch(4, 10));
-    assert!(eng.telemetry().is_none());
+    let mut shard = Shard::new(DpdConfig::default());
+    shard.observe_all_at(&pattern_batch(4, 10), 0);
+    assert!(shard.telemetry_snapshot().is_none());
     let peng = PersistentEngine::new(EngineConfig::with_shards(2));
     let client = peng.client();
     client.observe_batch(&pattern_batch(4, 10));
@@ -144,11 +143,12 @@ fn sharded_merge_equals_single_shard_recording() {
 
 #[test]
 fn flight_recorder_attributes_evictions_and_churn() {
-    let mut eng = Engine::new(
+    let eng = PersistentEngine::new(
         EngineConfig::with_shards(1)
             .with_ttl(8)
             .with_telemetry(TelemetryConfig::enabled()),
-    );
+    )
+    .client();
     // Rank 0 trains, then rank 1's traffic pushes rank 0 past its TTL.
     let warm: Vec<Observation> = (0..6).map(|i| Observation::new(skey(0), i % 2)).collect();
     eng.observe_batch(&warm);
@@ -333,61 +333,55 @@ fn federation_chaos_kill_attributes_job_and_member() {
 }
 
 #[test]
-fn epoch_rebound_reaches_the_federation_flight_log() {
-    let fed = FederatedEngine::new(
-        FederationConfig::new(2, 1)
-            .member_config(telemetry_cfg(1).with_queue_cap(8))
-            .adaptive(Default::default()),
-    );
+fn job_migration_reaches_the_federation_flight_log() {
+    let fed = FederatedEngine::new(FederationConfig::new(2, 1).member_config(telemetry_cfg(1)));
     let client = fed.client();
-    client.observe_batch(&pattern_batch(4, 10));
-    let report = fed.end_epoch();
+    let job = (0..32).find(|&j| fed.member_of(j) == 0).unwrap();
+    let batch: Vec<Observation> = (0..30)
+        .map(|i| Observation::new(jkey(job, (i % 3) as u32), i % 2))
+        .collect();
+    client.observe_batch(&batch);
+    let moved = fed.migrate_job(job, 0, 1).expect("migration");
+    assert_eq!(moved, 3, "three streams moved");
     let snap = fed.telemetry().expect("enabled");
-    let rebounds: Vec<_> = snap
+    let migrations: Vec<_> = snap
         .flight()
         .iter()
-        .filter(|e| e.kind == FlightKind::EpochRebound)
+        .filter(|e| e.kind == FlightKind::JobMigrated)
         .collect();
-    assert_eq!(rebounds.len(), 2, "one rebound event per member");
-    for r in &report {
-        assert!(
-            rebounds.iter().any(|e| e.member == r.member as u32
-                && e.a == r.queue_high_water
-                && Some(e.b as usize) == r.observe_queue_cap),
-            "rebound event mirrors the epoch report for member {}",
-            r.member
-        );
-    }
+    assert_eq!(migrations.len(), 1, "one event per migration");
+    let e = migrations[0];
+    assert_eq!((e.member, e.job, e.a, e.b), (0, job, 3, 1));
 }
 
 /// Satellite regression for the sum-of-gauges contract: after TTL and
 /// forced evictions, the summed `resident_streams` gauge must agree
-/// exactly between scoped and persistent execution of one workload,
-/// and with the telemetry gauge.
+/// exactly between a one-shard and a three-shard engine fed one
+/// workload, and with the telemetry gauge.
 #[test]
 fn resident_streams_gauge_sums_exactly_after_eviction() {
     let cfg = telemetry_cfg(3).with_ttl(64);
     let batch = pattern_batch(12, 30);
+    let run = |cfg: EngineConfig| {
+        let client = PersistentEngine::new(cfg).client();
+        client.observe_batch(&batch);
+        client.evict_stream(skey(3));
+        client.evict_stream(skey(7));
+        client.sweep_expired();
+        client
+    };
+    let solo = run(EngineConfig {
+        shards: 1,
+        ..cfg.clone()
+    });
+    let client = run(cfg);
 
-    let mut scoped = Engine::new(cfg.clone());
-    scoped.observe_batch(&batch);
-    scoped.evict_stream(skey(3));
-    scoped.evict_stream(skey(7));
-    scoped.sweep_expired();
-
-    let peng = PersistentEngine::new(cfg);
-    let client = peng.client();
-    client.observe_batch(&batch);
-    client.evict_stream(skey(3));
-    client.evict_stream(skey(7));
-    client.sweep_expired();
-
-    let s_total = scoped.metrics().total();
+    let s_total = solo.metrics_total();
     let p_total = client.metrics_total();
     assert_eq!(s_total.resident_streams, p_total.resident_streams);
     assert_eq!(s_total.evicted, p_total.evicted);
     assert_eq!(
-        scoped.telemetry().unwrap().gauge("resident_streams"),
+        solo.telemetry().unwrap().gauge("resident_streams"),
         Some(s_total.resident_streams)
     );
     assert_eq!(
@@ -398,7 +392,7 @@ fn resident_streams_gauge_sums_exactly_after_eviction() {
 
 #[test]
 fn snapshot_exports_are_well_formed() {
-    let mut eng = Engine::new(telemetry_cfg(2));
+    let eng = PersistentEngine::new(telemetry_cfg(2)).client();
     eng.observe_batch(&pattern_batch(5, 30));
     let snap = eng.telemetry().unwrap();
     let json = snap.to_json();

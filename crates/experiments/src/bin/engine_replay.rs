@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run -p mpp-experiments --release --bin engine_replay -- \
-//!     [--csv] [--seed N] [--shards K] [--ttl N] [--mode persistent|scoped] \
+//!     [--csv] [--seed N] [--shards K] [--ttl N] \
 //!     [--queue-cap N] [--backpressure block|shed] \
 //!     [--jobs K] [--engines E] [--ensemble] [--ensemble-full] [--rebalance] \
 //!     [--telemetry-json PATH] [--stats-every N] [bt 9 | cg 8 | ring 8 | pp 8 | ...]
@@ -14,13 +14,11 @@
 //! With no positional arguments, the paper's full configuration roster
 //! is replayed (the Table 1 set), giving an engine-level summary of the
 //! paper's central claim: these streams are predictable enough to serve.
-//! `--mode` selects the persistent-worker engine (default) or the
-//! scoped per-batch-thread engine; `--ttl N` evicts streams idle for
-//! more than `N` engine-time events. `--queue-cap N` bounds each
-//! persistent shard's observe lane to `N` queued commands and
-//! `--backpressure` picks the full-lane policy: `block` (default,
-//! bit-identical results) or `shed` (drop-with-count; the `shed`
-//! column reports the losses).
+//! `--ttl N` evicts streams idle for more than `N` engine-time events.
+//! `--queue-cap N` bounds each shard's observe lane to `N` queued
+//! commands and `--backpressure` picks the full-lane policy: `block`
+//! (default, bit-identical results) or `shed` (drop-with-count; the
+//! `shed` column reports the losses).
 //!
 //! Either telemetry flag enables the engine's telemetry layer (latency
 //! histograms, counters, flight recorder). `--telemetry-json PATH`
@@ -44,7 +42,7 @@
 //! roster to every implemented challenger (adds frequency, cycle, tag
 //! and the hybrid committee).
 //!
-//! `--rebalance` (persistent mode, `--engines` ≥ 2) enables the
+//! `--rebalance` (`--engines` ≥ 2) enables the
 //! load-aware rebalancer: the replay interleaves a *skewed* hot/cold
 //! job mix (job `j` replays every `(j+1)`-th event, so job 0 is
 //! hottest), closes a rebalance epoch every few ingest batches, and
@@ -64,24 +62,24 @@
 //! flags require exactly one configuration and `--engines 1`.
 //!
 //! `--wal DIR` replays a single configuration through a *durable*
-//! persistent engine: every batch is appended to the segmented
-//! observation log under `DIR`, a snapshot checkpoint anchors the
-//! midpoint, and the log is fsynced before exit. `--recover DIR`
+//! engine: every batch is appended to the segmented observation log
+//! under `DIR`, a snapshot checkpoint anchors the midpoint, and the log
+//! is fsynced before exit. `--recover DIR`
 //! rebuilds the engine from `DIR` (newest valid snapshot + log tail,
 //! truncating any torn frame) and replays only the trace events the
 //! recovered state had not yet ingested — so `--wal` run, killed at
 //! any moment, then `--recover` run, lands on the same final state as
 //! an uninterrupted replay (the CI kill-9 smoke does exactly that).
-//! Both flags require one configuration, `--engines 1`, persistent
-//! mode. Restored/recovered runs also audit their own accounting: if
+//! Both flags require one configuration and `--engines 1`.
+//! Restored/recovered runs also audit their own accounting: if
 //! the engine's `events_ingested` disagrees with `restored +
 //! replayed`, or events went missing against the trace, the run exits
 //! nonzero.
 
 use mpp_engine::{BackpressurePolicy, DurabilityConfig, TelemetrySnapshot};
 use mpp_experiments::replay::{
-    replay, replay_from_snapshot, replay_recover, replay_to_snapshot, replay_with_wal, EngineMode,
-    ReplayOpts, ReplayReport,
+    replay, replay_from_snapshot, replay_recover, replay_to_snapshot, replay_with_wal, ReplayOpts,
+    ReplayReport,
 };
 use mpp_experiments::CliArgs;
 use mpp_nasbench::{paper_configs, BenchId, BenchmarkConfig, Class};
@@ -167,14 +165,6 @@ fn main() {
             std::process::exit(2);
         })
     });
-    let mode = match args.take_flag("--mode").as_deref() {
-        None | Some("persistent") => EngineMode::Persistent,
-        Some("scoped") => EngineMode::Scoped,
-        Some(other) => {
-            eprintln!("unknown mode {other} (persistent|scoped)");
-            std::process::exit(2);
-        }
-    };
     let queue_cap: Option<usize> = args.take_flag("--queue-cap").map(|v| {
         v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
             eprintln!("--queue-cap needs a positive command count");
@@ -190,10 +180,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if queue_cap.is_some() && mode == EngineMode::Scoped {
-        eprintln!("--queue-cap applies to the persistent mode only");
-        std::process::exit(2);
-    }
     let jobs: usize = args.take_flag("--jobs").map_or(1, |v| {
         v.parse().ok().filter(|&n| n > 0).unwrap_or_else(|| {
             eprintln!("--jobs needs a positive job count");
@@ -206,17 +192,11 @@ fn main() {
             std::process::exit(2);
         })
     });
-    if engines > 1 && mode == EngineMode::Scoped {
-        eprintln!("--engines applies to the persistent mode only (federation members)");
-        std::process::exit(2);
-    }
     let ensemble = args.take_bool_flag("--ensemble");
     let ensemble_full = args.take_bool_flag("--ensemble-full");
     let rebalance = args.take_bool_flag("--rebalance");
-    if rebalance && (mode == EngineMode::Scoped || engines < 2) {
-        eprintln!(
-            "--rebalance needs the persistent mode and --engines >= 2 (load-aware placement)"
-        );
+    if rebalance && engines < 2 {
+        eprintln!("--rebalance needs --engines >= 2 (load-aware placement)");
         std::process::exit(2);
     }
     if rebalance && jobs < 2 {
@@ -244,8 +224,8 @@ fn main() {
         eprintln!("--wal/--recover manage their own snapshots (no --snapshot/--restore alongside)");
         std::process::exit(2);
     }
-    if durable && (engines > 1 || mode != EngineMode::Persistent) {
-        eprintln!("the observation log records a single persistent engine (--engines 1)");
+    if durable && engines > 1 {
+        eprintln!("the observation log records a single engine (--engines 1)");
         std::process::exit(2);
     }
     let telemetry_json = args.take_flag("--telemetry-json");
@@ -293,7 +273,6 @@ fn main() {
 
     let opts = ReplayOpts::with_shards(shards)
         .ttl(ttl)
-        .mode(mode)
         .queue_cap(queue_cap)
         .backpressure(backpressure)
         .jobs(jobs)
@@ -334,15 +313,14 @@ fn main() {
     if args.csv {
         println!(
             "config,events,streams,hit_rate,period_churn,evicted,shed,events_per_sec,\
-             shards,mode,ttl,queue_cap,backpressure,jobs,engines,\
+             shards,ttl,queue_cap,backpressure,jobs,engines,\
              observe_p50_ns,observe_p99_ns,queue_wait_p99_ns"
         );
     } else {
         let ttl_label = ttl.map_or("off".to_string(), |t| t.to_string());
         println!(
-            "engine replay — {shards} shard(s), seed {seed}, mode {}, ttl {ttl_label}, \
+            "engine replay — {shards} shard(s), seed {seed}, ttl {ttl_label}, \
              queue cap {cap_label}, backpressure {}, {jobs} job(s), {engines} engine(s)",
-            mode.label(),
             backpressure.label()
         );
         println!(
@@ -403,7 +381,7 @@ fn main() {
         }
         if args.csv {
             println!(
-                "{},{},{},{:.4},{},{},{},{:.0},{},{},{},{},{},{},{},{}",
+                "{},{},{},{:.4},{},{},{},{:.0},{},{},{},{},{},{},{}",
                 r.label,
                 r.events,
                 r.total.resident_streams,
@@ -413,7 +391,6 @@ fn main() {
                 r.total.shed_events,
                 r.events_per_sec,
                 shards,
-                mode.label(),
                 ttl.map_or("off".to_string(), |t| t.to_string()),
                 cap_label,
                 backpressure.label(),

@@ -51,13 +51,12 @@ const COUNTERS: [&str; 9] = [
 const CORE_HISTOGRAMS: [&str; 3] = ["observe_batch_ns", "observe_event_ns", "forecast_ns"];
 
 /// Flight-recorder kind labels the engine can emit.
-const FLIGHT_KINDS: [&str; 9] = [
+const FLIGHT_KINDS: [&str; 8] = [
     "eviction",
     "backpressure_block",
     "backpressure_shed",
     "worker_gone",
     "period_churn",
-    "epoch_rebound",
     "job_migrated",
     "champion_swapped",
     "wal_truncated",

@@ -320,15 +320,17 @@ mod tests {
 
     #[test]
     fn round_trips_a_real_telemetry_snapshot() {
-        use mpp_engine::{Engine, EngineConfig, TelemetryConfig};
+        use mpp_engine::{EngineConfig, PersistentEngine, TelemetryConfig};
         use mpp_engine::{Observation, StreamKey, StreamKind};
-        let mut engine =
-            Engine::new(EngineConfig::with_shards(2).with_telemetry(TelemetryConfig::enabled()));
+        let engine = PersistentEngine::new(
+            EngineConfig::with_shards(2).with_telemetry(TelemetryConfig::enabled()),
+        );
+        let client = engine.client();
         let events: Vec<Observation> = (0..64)
             .map(|i| Observation::new(StreamKey::new(i % 4, StreamKind::Sender), u64::from(i % 3)))
             .collect();
-        engine.observe_batch(&events);
-        let snap = engine.telemetry().unwrap();
+        client.observe_batch(&events);
+        let snap = client.telemetry().unwrap();
         let doc = parse(&snap.to_json()).expect("writer output must parse");
         assert_eq!(
             doc.path(&["counters", "events_ingested"]).unwrap().as_u64(),

@@ -6,7 +6,7 @@
 use mpp_core::dpd::DpdConfig;
 use mpp_core::PredictorKind;
 use mpp_engine::{
-    BackpressurePolicy, DurabilityConfig, Engine, EngineConfig, EnsembleConfig, FederatedEngine,
+    BackpressurePolicy, DurabilityConfig, EngineConfig, EnsembleConfig, FederatedEngine,
     FederationConfig, JobId, JobMetrics, ModelStats, Observation, PersistentEngine,
     RebalanceConfig, RecoverError, RecoveryReport, ShardMetrics, SnapshotError, StreamKey,
     StreamKind, TelemetryConfig, TelemetrySnapshot,
@@ -22,26 +22,6 @@ pub const REPLAY_BATCH: usize = 8192;
 /// mid-run.
 pub const REBALANCE_EVERY: usize = 2;
 
-/// Which engine execution mode serves the replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineMode {
-    /// Persistent shard workers behind channels (the default).
-    Persistent,
-    /// Scoped per-batch worker threads.
-    Scoped,
-}
-
-impl EngineMode {
-    /// Lower-case label for reports (matches the `BENCH_engine.json`
-    /// `mode` field).
-    pub fn label(self) -> &'static str {
-        match self {
-            EngineMode::Persistent => "persistent",
-            EngineMode::Scoped => "scoped",
-        }
-    }
-}
-
 /// Engine-side options for one replay run.
 #[derive(Debug, Clone)]
 pub struct ReplayOpts {
@@ -49,18 +29,16 @@ pub struct ReplayOpts {
     pub shards: usize,
     /// Idle-stream TTL in engine-time events (`None` disables).
     pub ttl: Option<u64>,
-    /// Execution mode serving the replay.
-    pub mode: EngineMode,
-    /// Persistent mode: bound on each shard's observe lane (`None`
-    /// leaves lanes unbounded). Ignored in scoped mode.
+    /// Bound on each shard's observe lane (`None` leaves lanes
+    /// unbounded).
     pub queue_cap: Option<usize>,
-    /// Persistent mode: full-lane policy for bounded lanes.
+    /// Full-lane policy for bounded lanes.
     pub backpressure: BackpressurePolicy,
     /// Interleaved job copies of the trace to replay (job ids
     /// `0..jobs`); 1 is the single-tenant replay.
     pub jobs: usize,
-    /// Persistent mode: federation member engines serving the replay;
-    /// 1 wraps a single engine (bit-identical to direct use).
+    /// Federation member engines serving the replay; 1 wraps a single
+    /// engine (bit-identical to direct use).
     pub engines: usize,
     /// Runs the champion/challenger ensemble
     /// ([`EnsembleConfig::standard`]) instead of the DPD-only default;
@@ -69,10 +47,10 @@ pub struct ReplayOpts {
     /// Widens the ensemble to the full roster
     /// ([`EnsembleConfig::full`]); implies `ensemble`.
     pub ensemble_full: bool,
-    /// Persistent mode with `engines > 1`: enables the load-aware
-    /// rebalancer and closes a rebalance epoch every few ingest
-    /// batches, letting hot jobs migrate between members mid-replay.
-    /// Rollups stay bit-identical either way.
+    /// With `engines > 1`: enables the load-aware rebalancer and closes
+    /// a rebalance epoch every few ingest batches, letting hot jobs
+    /// migrate between members mid-replay. Rollups stay bit-identical
+    /// either way.
     pub rebalance: bool,
     /// Interleaves a *skewed* job mix instead of full copies: job `j`
     /// replays every `(j + 1)`-th event, so job 0 is hottest and the
@@ -93,7 +71,6 @@ impl Default for ReplayOpts {
         ReplayOpts {
             shards: 4,
             ttl: None,
-            mode: EngineMode::Persistent,
             queue_cap: None,
             backpressure: BackpressurePolicy::Block,
             jobs: 1,
@@ -115,12 +92,6 @@ impl ReplayOpts {
             shards,
             ..ReplayOpts::default()
         }
-    }
-
-    /// Sets the execution mode.
-    pub fn mode(mut self, mode: EngineMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Sets the idle-stream TTL.
@@ -166,8 +137,7 @@ impl ReplayOpts {
         self
     }
 
-    /// Enables the load-aware rebalancer (persistent mode, `engines`
-    /// > 1).
+    /// Enables the load-aware rebalancer (`engines` > 1).
     pub fn rebalance(mut self, on: bool) -> Self {
         self.rebalance = on;
         self
@@ -407,121 +377,75 @@ pub struct ReplayOutcome {
     pub intervals: Vec<ReplayInterval>,
 }
 
-/// Replays pre-flattened `events` through a fresh engine (or
-/// federation) per `opts`. The persistent mode always serves through a
-/// [`FederatedEngine`] — single-member for `engines == 1`, which is
-/// bit-identical to driving the engine directly (pinned by the golden
-/// replays and `mpp-engine/tests/federation.rs`).
+/// Replays pre-flattened `events` through a fresh federation per
+/// `opts` — single-member for `engines == 1`, which is bit-identical to
+/// driving the engine directly (pinned by the golden replays and
+/// `mpp-engine/tests/federation.rs`).
 pub fn replay_events(events: &[Observation], opts: &ReplayOpts) -> ReplayOutcome {
     assert!(opts.engines > 0, "at least one engine");
     let cfg = opts.engine_config();
     let labels = roster_labels(&cfg.ensemble);
     let every = opts.stats_every.filter(|_| opts.telemetry);
     let mut intervals = Vec::new();
-    match opts.mode {
-        EngineMode::Scoped => {
-            assert!(
-                opts.engines == 1,
-                "federation (--engines > 1) is a persistent-mode feature"
-            );
-            assert!(
-                !opts.rebalance,
-                "rebalancing is a persistent-mode federation feature"
-            );
-            let mut engine = Engine::new(cfg);
-            let start = Instant::now();
-            let mut submitted = 0usize;
-            for (i, chunk) in events.chunks(REPLAY_BATCH).enumerate() {
-                engine.observe_batch(chunk);
-                submitted += chunk.len();
-                if every.is_some_and(|n| (i + 1) % n == 0) {
-                    if let Some(snapshot) = engine.telemetry() {
-                        intervals.push(ReplayInterval {
-                            events: submitted,
-                            snapshot,
-                        });
-                    }
-                }
-            }
-            let secs = start.elapsed().as_secs_f64();
-            let per_job = engine.job_metrics();
-            let models = labels.iter().copied().zip(engine.model_stats()).collect();
-            let telemetry = opts.telemetry.then(|| engine.telemetry()).flatten();
-            let shards = engine.metrics().shards;
-            ReplayOutcome {
-                per_shard: shards,
-                per_job,
-                models,
-                events_per_sec: events.len() as f64 / secs.max(1e-12),
-                telemetry,
-                intervals,
+    let fed = FederatedEngine::new(FederationConfig {
+        members: opts.engines,
+        member: cfg,
+        rebalance: opts.rebalance.then_some(RebalanceConfig {
+            // Replay epochs are short (a few batches), so use a tighter
+            // trigger than the production default: act on 10% skew and
+            // let a job move again after one quiet epoch.
+            headroom: 10,
+            max_moves_per_epoch: 2,
+            min_dwell_epochs: 1,
+        }),
+    });
+    let client = fed.client();
+    let start = Instant::now();
+    let mut submitted = 0usize;
+    for (i, chunk) in events.chunks(REPLAY_BATCH).enumerate() {
+        client.observe_batch(chunk);
+        submitted += chunk.len();
+        if opts.rebalance && (i + 1) % REBALANCE_EVERY == 0 {
+            // Closing the epoch quiesces the moved jobs, so the migration
+            // cut lands between fully-ingested batches and rollups stay
+            // bit-identical.
+            fed.rebalance_epoch();
+        }
+        if every.is_some_and(|n| (i + 1) % n == 0) {
+            // The snapshot query queues behind the submitted batches, so
+            // each interval reflects fully-ingested prefixes only.
+            if let Some(snapshot) = client.telemetry() {
+                intervals.push(ReplayInterval {
+                    events: submitted,
+                    snapshot,
+                });
             }
         }
-        EngineMode::Persistent => {
-            let fed = FederatedEngine::new(FederationConfig {
-                members: opts.engines,
-                member: cfg,
-                adaptive: None,
-                rebalance: opts.rebalance.then_some(RebalanceConfig {
-                    // Replay epochs are short (a few batches), so use a
-                    // tighter trigger than the production default: act
-                    // on 10% skew and let a job move again after one
-                    // quiet epoch.
-                    headroom: 10,
-                    max_moves_per_epoch: 2,
-                    min_dwell_epochs: 1,
-                }),
-            });
-            let client = fed.client();
-            let start = Instant::now();
-            let mut submitted = 0usize;
-            for (i, chunk) in events.chunks(REPLAY_BATCH).enumerate() {
-                client.observe_batch(chunk);
-                submitted += chunk.len();
-                if opts.rebalance && (i + 1) % REBALANCE_EVERY == 0 {
-                    // Closing the epoch quiesces the moved jobs, so the
-                    // migration cut lands between fully-ingested
-                    // batches and rollups stay bit-identical.
-                    fed.rebalance_epoch();
-                }
-                if every.is_some_and(|n| (i + 1) % n == 0) {
-                    // The snapshot query queues behind the submitted
-                    // batches, so each interval reflects fully-ingested
-                    // prefixes only.
-                    if let Some(snapshot) = client.telemetry() {
-                        intervals.push(ReplayInterval {
-                            events: submitted,
-                            snapshot,
-                        });
-                    }
-                }
-            }
-            if opts.rebalance {
-                // Always close at least one epoch — short traces may
-                // never hit the mid-run cadence.
-                fed.rebalance_epoch();
-            }
-            // The metrics round-trip queues behind every submitted
-            // batch, so it also closes the timing window fairly.
-            let per_shard: Vec<ShardMetrics> = client
-                .metrics()
-                .members
-                .into_iter()
-                .flat_map(|m| m.shards)
-                .collect();
-            let secs = start.elapsed().as_secs_f64();
-            let per_job = client.job_metrics();
-            let models = labels.iter().copied().zip(client.model_stats()).collect();
-            let telemetry = opts.telemetry.then(|| client.telemetry()).flatten();
-            ReplayOutcome {
-                per_shard,
-                per_job,
-                models,
-                events_per_sec: events.len() as f64 / secs.max(1e-12),
-                telemetry,
-                intervals,
-            }
-        }
+    }
+    if opts.rebalance {
+        // Always close at least one epoch — short traces may never hit
+        // the mid-run cadence.
+        fed.rebalance_epoch();
+    }
+    // The metrics round-trip queues behind every submitted batch, so it
+    // also closes the timing window fairly.
+    let per_shard: Vec<ShardMetrics> = client
+        .metrics()
+        .members
+        .into_iter()
+        .flat_map(|m| m.shards)
+        .collect();
+    let secs = start.elapsed().as_secs_f64();
+    let per_job = client.job_metrics();
+    let models = labels.iter().copied().zip(client.model_stats()).collect();
+    let telemetry = opts.telemetry.then(|| client.telemetry()).flatten();
+    ReplayOutcome {
+        per_shard,
+        per_job,
+        models,
+        events_per_sec: events.len() as f64 / secs.max(1e-12),
+        telemetry,
+        intervals,
     }
 }
 
@@ -600,25 +524,12 @@ pub fn replay_to_snapshot(
     let halt = halt_at
         .unwrap_or_else(|| snapshot_cut(events.len()))
         .min(events.len());
-    let cfg = opts.engine_config();
-    let bytes = match opts.mode {
-        EngineMode::Scoped => {
-            let mut engine = Engine::new(cfg);
-            for chunk in events[..halt].chunks(REPLAY_BATCH) {
-                engine.observe_batch(chunk);
-            }
-            engine.snapshot()
-        }
-        EngineMode::Persistent => {
-            let engine = PersistentEngine::new(cfg);
-            let client = engine.client();
-            for chunk in events[..halt].chunks(REPLAY_BATCH) {
-                client.observe_batch(chunk);
-            }
-            client.snapshot()
-        }
-    };
-    (bytes, halt)
+    let engine = PersistentEngine::new(opts.engine_config());
+    let client = engine.client();
+    for chunk in events[..halt].chunks(REPLAY_BATCH) {
+        client.observe_batch(chunk);
+    }
+    (client.snapshot(), halt)
 }
 
 /// Runs `config`, restores the engine from `bytes`, and replays
@@ -644,54 +555,27 @@ pub fn replay_from_snapshot(
     let events = interleave_jobs(&trace_to_events(&trace), opts.jobs);
     let cfg = opts.engine_config();
     let labels = roster_labels(&cfg.ensemble);
-    let (restored, outcome) = match opts.mode {
-        EngineMode::Scoped => {
-            let mut engine = Engine::restore(cfg, bytes)?;
-            let restored = (engine.metrics_total().events_ingested as usize).min(events.len());
-            let start = Instant::now();
-            for chunk in events[restored..].chunks(REPLAY_BATCH) {
-                engine.observe_batch(chunk);
-            }
-            let secs = start.elapsed().as_secs_f64();
-            let per_job = engine.job_metrics();
-            let models = labels.iter().copied().zip(engine.model_stats()).collect();
-            let telemetry = opts.telemetry.then(|| engine.telemetry()).flatten();
-            let outcome = ReplayOutcome {
-                per_shard: engine.metrics().shards,
-                per_job,
-                models,
-                events_per_sec: (events.len() - restored) as f64 / secs.max(1e-12),
-                telemetry,
-                intervals: Vec::new(),
-            };
-            (restored, outcome)
-        }
-        EngineMode::Persistent => {
-            let engine = PersistentEngine::restore(cfg, bytes)?;
-            let client = engine.client();
-            let restored = (client.metrics_total().events_ingested as usize).min(events.len());
-            let start = Instant::now();
-            for chunk in events[restored..].chunks(REPLAY_BATCH) {
-                client.observe_batch(chunk);
-            }
-            // The metrics round-trip queues behind every submitted
-            // batch, closing the timing window fairly (as in
-            // `replay_events`).
-            let per_shard: Vec<ShardMetrics> = client.metrics().shards;
-            let secs = start.elapsed().as_secs_f64();
-            let per_job = client.job_metrics();
-            let models = labels.iter().copied().zip(client.model_stats()).collect();
-            let telemetry = opts.telemetry.then(|| client.telemetry()).flatten();
-            let outcome = ReplayOutcome {
-                per_shard,
-                per_job,
-                models,
-                events_per_sec: (events.len() - restored) as f64 / secs.max(1e-12),
-                telemetry,
-                intervals: Vec::new(),
-            };
-            (restored, outcome)
-        }
+    let engine = PersistentEngine::restore(cfg, bytes)?;
+    let client = engine.client();
+    let restored = (client.metrics_total().events_ingested as usize).min(events.len());
+    let start = Instant::now();
+    for chunk in events[restored..].chunks(REPLAY_BATCH) {
+        client.observe_batch(chunk);
+    }
+    // The metrics round-trip queues behind every submitted batch,
+    // closing the timing window fairly (as in `replay_events`).
+    let per_shard: Vec<ShardMetrics> = client.metrics().shards;
+    let secs = start.elapsed().as_secs_f64();
+    let per_job = client.job_metrics();
+    let models = labels.iter().copied().zip(client.model_stats()).collect();
+    let telemetry = opts.telemetry.then(|| client.telemetry()).flatten();
+    let outcome = ReplayOutcome {
+        per_shard,
+        per_job,
+        models,
+        events_per_sec: (events.len() - restored) as f64 / secs.max(1e-12),
+        telemetry,
+        intervals: Vec::new(),
     };
     Ok(report_of(config, events.len(), restored as u64, outcome))
 }
@@ -713,9 +597,8 @@ pub fn replay_with_wal(
     durability: DurabilityConfig,
 ) -> ReplayReport {
     assert!(
-        opts.engines == 1 && opts.mode == EngineMode::Persistent,
-        "the observation log records a single persistent engine \
-         (--engines 1, persistent mode)"
+        opts.engines == 1,
+        "the observation log records a single engine (--engines 1)"
     );
     let trace = run_config(config, seed);
     let events = interleave_jobs(&trace_to_events(&trace), opts.jobs);
@@ -773,9 +656,8 @@ pub fn replay_recover(
     durability: DurabilityConfig,
 ) -> Result<(ReplayReport, RecoveryReport), RecoverError> {
     assert!(
-        opts.engines == 1 && opts.mode == EngineMode::Persistent,
-        "recovery rebuilds a single persistent engine \
-         (--engines 1, persistent mode)"
+        opts.engines == 1,
+        "recovery rebuilds a single engine (--engines 1)"
     );
     let trace = run_config(config, seed);
     let events = interleave_jobs(&trace_to_events(&trace), opts.jobs);
@@ -814,19 +696,16 @@ mod tests {
     use mpp_nasbench::{BenchId, Class};
 
     #[test]
-    fn modes_agree_on_counters_for_a_small_config() {
+    fn shard_counts_agree_on_counters_for_a_small_config() {
         let cfg = BenchmarkConfig::new(BenchId::Cg, 4, Class::S);
         let a = replay(&cfg, 7, &ReplayOpts::with_shards(4));
-        let b = replay(
-            &cfg,
-            7,
-            &ReplayOpts::with_shards(4).mode(EngineMode::Scoped),
-        );
+        let b = replay(&cfg, 7, &ReplayOpts::with_shards(1));
         assert_eq!(a.events, b.events);
         assert_eq!(a.total.hits, b.total.hits);
         assert_eq!(a.total.misses, b.total.misses);
         assert_eq!(a.total.resident_streams, b.total.resident_streams);
         assert_eq!(a.per_shard.len(), 4);
+        assert_eq!(b.per_shard.len(), 1);
     }
 
     #[test]
@@ -895,14 +774,10 @@ mod tests {
         }
         // Members concatenate in the per-shard view: 2 engines x 2 shards.
         assert_eq!(fed.per_shard.len(), 4);
-        // The scoped engine replays multi-job workloads too (one engine,
-        // namespaced keys) with the same per-job rollups.
-        let scoped = replay(
-            &cfg,
-            7,
-            &ReplayOpts::with_shards(2).jobs(3).mode(EngineMode::Scoped),
-        );
-        assert_eq!(scoped.per_job, fed.per_job);
+        // One engine replays multi-job workloads too (namespaced keys)
+        // with the same per-job rollups.
+        let single = replay(&cfg, 7, &ReplayOpts::with_shards(2).jobs(3));
+        assert_eq!(single.per_job, fed.per_job);
     }
 
     #[test]
@@ -996,8 +871,8 @@ mod tests {
             last.snapshot.counter("events_ingested"),
             Some(r.total.events_ingested)
         );
-        // The scoped mode snapshots the same counters.
-        let s = replay(&cfg, 7, &opts.clone().mode(EngineMode::Scoped));
+        // A one-shard engine snapshots the same counters.
+        let s = replay(&cfg, 7, &ReplayOpts { shards: 1, ..opts });
         assert_eq!(
             s.telemetry.unwrap().counter("events_ingested"),
             Some(r.total.events_ingested)
@@ -1005,9 +880,7 @@ mod tests {
     }
 
     #[test]
-    fn mode_and_policy_labels_match_bench_schema() {
-        assert_eq!(EngineMode::Persistent.label(), "persistent");
-        assert_eq!(EngineMode::Scoped.label(), "scoped");
+    fn policy_labels_match_bench_schema() {
         assert_eq!(BackpressurePolicy::Block.label(), "block");
         assert_eq!(BackpressurePolicy::Shed.label(), "shed");
     }

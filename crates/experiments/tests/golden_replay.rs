@@ -9,9 +9,7 @@
 //! within-tolerance drift can only come from engine-side changes.
 
 use mpp_engine::{SnapshotError, SNAPSHOT_VERSION};
-use mpp_experiments::replay::{
-    replay, replay_from_snapshot, replay_to_snapshot, EngineMode, ReplayOpts,
-};
+use mpp_experiments::replay::{replay, replay_from_snapshot, replay_to_snapshot, ReplayOpts};
 use mpp_experiments::DEFAULT_SEED;
 use mpp_nasbench::{BenchId, BenchmarkConfig, Class};
 
@@ -48,11 +46,8 @@ fn class_a_hit_rates_stay_pinned_persistent() {
 }
 
 #[test]
-fn class_a_hit_rates_stay_pinned_scoped() {
-    check(
-        &ReplayOpts::with_shards(4).mode(EngineMode::Scoped),
-        "scoped",
-    );
+fn class_a_hit_rates_stay_pinned_one_shard() {
+    check(&ReplayOpts::with_shards(1), "1-shard");
 }
 
 /// The backpressure acceptance pin: bounded `Block`-mode lanes must
@@ -100,12 +95,12 @@ fn class_a_hit_rates_stay_pinned_federated_per_job() {
 /// The snapshot acceptance pin: replaying each golden class-A config
 /// to its midpoint, snapshotting, restoring, and replaying the rest is
 /// not merely within tolerance of the uninterrupted run — the scoring
-/// counters are *exactly* equal (±0 pt), in both execution modes. The
+/// counters are *exactly* equal (±0 pt), at 4 shards and at 1. The
 /// report's `restored`/`replayed` split must cover the whole trace.
 #[test]
 fn class_a_snapshot_restore_continue_is_exact() {
-    for mode in [EngineMode::Persistent, EngineMode::Scoped] {
-        let opts = ReplayOpts::with_shards(4).mode(mode);
+    for shards in [4, 1] {
+        let opts = ReplayOpts::with_shards(shards);
         for (id, procs, want) in GOLDEN {
             let cfg = BenchmarkConfig::new(id, procs, Class::A);
             let full = replay(&cfg, DEFAULT_SEED, &opts);
@@ -136,9 +131,8 @@ fn class_a_snapshot_restore_continue_is_exact() {
                     t.abstentions,
                     t.period_churn
                 ),
-                "{} ({}): restore-and-continue must score identically",
+                "{} ({shards} shards): restore-and-continue must score identically",
                 full.label,
-                mode.label(),
             );
             let got = r.hit_rate();
             assert!(
@@ -173,8 +167,8 @@ fn restoring_a_future_version_snapshot_fails_typed() {
 /// golden class-A configs plus the two synthetic workloads, default
 /// seed, standard roster. Champion selection is a deterministic
 /// per-stream function of the event sequence, so these are invariant
-/// across shard counts and execution modes (asserted below); drift
-/// within a mode means the selection rule itself changed.
+/// across shard counts (asserted below); drift means the selection rule
+/// itself changed.
 type WinRatePins = [(&'static str, f64); 4];
 
 const GOLDEN_WIN_RATES: [(BenchId, usize, WinRatePins); 4] = [
@@ -223,8 +217,8 @@ const GOLDEN_WIN_RATES: [(BenchId, usize, WinRatePins); 4] = [
 /// The ensemble acceptance pin: per-predictor championship shares on
 /// the golden configs and the synthetic ring / ping-pong workloads
 /// stay where they were measured (±0.1 pt), the shares partition the
-/// event stream, and the scoped engine agrees with the persistent one
-/// bit for bit.
+/// event stream, and a 1-shard engine agrees with the 4-shard one bit
+/// for bit.
 #[test]
 fn ensemble_win_rates_stay_pinned() {
     for (id, procs, pins) in GOLDEN_WIN_RATES {
@@ -237,9 +231,7 @@ fn ensemble_win_rates_stay_pinned() {
         let s = replay(
             &cfg,
             DEFAULT_SEED,
-            &ReplayOpts::with_shards(2)
-                .ensemble(true)
-                .mode(EngineMode::Scoped),
+            &ReplayOpts::with_shards(1).ensemble(true),
         );
         assert_eq!(
             r.models.len(),
@@ -257,7 +249,7 @@ fn ensemble_win_rates_stay_pinned() {
             assert_eq!(
                 r.models.iter().find(|(l, _)| *l == label).unwrap().1,
                 s.models.iter().find(|(l, _)| *l == label).unwrap().1,
-                "{} {label}: per-model counters differ between execution modes",
+                "{} {label}: per-model counters differ between 4 shards and 1",
                 r.label,
             );
         }
@@ -314,8 +306,8 @@ const GOLDEN_FULL_WIN_RATES: [(BenchId, usize, FullWinRatePins); 2] = [
 
 /// The full-roster acceptance pin: widening the ensemble must yield
 /// exactly these championship shares (±0.1 pt), which still partition
-/// the event stream, with the scoped engine bit-identical to the
-/// persistent one.
+/// the event stream, with a 1-shard engine bit-identical to the
+/// 4-shard one.
 #[test]
 fn full_roster_win_rates_stay_pinned() {
     for (id, procs, pins) in GOLDEN_FULL_WIN_RATES {
@@ -328,9 +320,7 @@ fn full_roster_win_rates_stay_pinned() {
         let s = replay(
             &cfg,
             DEFAULT_SEED,
-            &ReplayOpts::with_shards(2)
-                .ensemble_full(true)
-                .mode(EngineMode::Scoped),
+            &ReplayOpts::with_shards(1).ensemble_full(true),
         );
         assert_eq!(
             r.models.len(),
@@ -349,7 +339,7 @@ fn full_roster_win_rates_stay_pinned() {
             assert_eq!(
                 r.models.iter().find(|(l, _)| *l == label).unwrap().1,
                 s.models.iter().find(|(l, _)| *l == label).unwrap().1,
-                "{} {label}: per-model counters differ between execution modes",
+                "{} {label}: per-model counters differ between 4 shards and 1",
                 r.label,
             );
         }

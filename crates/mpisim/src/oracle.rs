@@ -1,8 +1,8 @@
 //! Receiver-side arrival prediction hook for the rendezvous protocol.
 //!
-//! §2.3 of the paper: "the receiver … predict[s] that a large message
-//! will come from a given sender, then allocate[s] the necessary memory
-//! and then inform[s] the sender *before it even knows such a message is
+//! §2.3 of the paper: "the receiver … predict\[s\] that a large message
+//! will come from a given sender, then allocate\[s\] the necessary memory
+//! and then inform\[s\] the sender *before it even knows such a message is
 //! to be sent*". In protocol terms: a correctly predicted large message
 //! skips the request/clear-to-send round trip and travels like an eager
 //! one.

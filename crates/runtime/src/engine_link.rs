@@ -12,10 +12,9 @@
 //!   bit-identically to driving that engine directly. There is no
 //!   mutex behind it: submission goes through per-shard channels,
 //!   replies come back on private epoch-stamped lanes. Hot-path users
-//!   take a [`FederatedClient`](mpp_engine::FederatedClient) via
-//!   [`EngineHandle::client`]; the handle's own convenience methods
-//!   build a transient client per call (fine for setup and
-//!   inspection).
+//!   take a [`FederatedClient`] via [`EngineHandle::client`];
+//!   queries, metrics and job operations go through that client or
+//!   through [`EngineHandle::federation`].
 //! * [`EngineAdvisor`] — the advisor interface backed by engine
 //!   forecasts: `observe` feeds sender/size/tag observations through
 //!   its private client, `advise` returns the same [`Advice`] type the
@@ -27,10 +26,10 @@
 //!   traffic stays one round-trip per `depth` deliveries. Because
 //!   forecasts are only read at re-plan time, this batching produces
 //!   *identical* grants to feeding the engine one event at a time —
-//!   and identical behaviour to the local [`DpdOracle`]
-//!   (`tests/engine_oracle.rs` pins both). The engine's worker threads
-//!   outlive every simulated world that uses them and shut down when
-//!   the last handle drops.
+//!   and identical behaviour to the local
+//!   [`DpdOracle`](crate::oracle::DpdOracle) (`tests/engine_oracle.rs`
+//!   pins both). The engine's worker threads outlive every simulated
+//!   world that uses them and shut down when the last handle drops.
 //!
 //! **Job namespaces.** Every advisor/oracle carries a [`JobId`]
 //! (default [`DEFAULT_JOB`]). The historical constructors bake in the
@@ -47,9 +46,8 @@ use crate::oracle::GrantBook;
 use mpp_core::dpd::DpdConfig;
 pub use mpp_engine::{BackpressurePolicy, JobId, DEFAULT_JOB};
 use mpp_engine::{
-    EngineConfig, FederatedClient, FederatedEngine, FederationConfig, FederationMetrics,
-    JobMetrics, MigrateError, Observation, PersistentEngine, RankId, RebalanceReport, StreamKey,
-    StreamKind, TelemetrySnapshot,
+    EngineConfig, FederatedClient, FederatedEngine, FederationConfig, Observation,
+    PersistentEngine, RankId, StreamKey, StreamKind,
 };
 use mpp_mpisim::{ArrivalOracle, OracleFactory, Rank, Tag};
 
@@ -182,74 +180,6 @@ impl EngineHandle {
     /// Forecast for `rank` inside `job`'s namespace.
     pub fn advise_for_job(&self, job: JobId, rank: RankId, depth: usize) -> Advice {
         advise_via(&self.client(), job, rank, depth)
-    }
-
-    /// Per-member, per-shard metrics snapshot of the federation.
-    pub fn metrics(&self) -> FederationMetrics {
-        self.client().metrics()
-    }
-
-    /// Per-job scoring rollups across the federation.
-    pub fn job_metrics(&self) -> Vec<(JobId, JobMetrics)> {
-        self.client().job_metrics()
-    }
-
-    /// Jobs with at least one resident stream, ascending.
-    pub fn resident_jobs(&self) -> Vec<JobId> {
-        self.client().resident_jobs()
-    }
-
-    /// Evicts every resident stream of `job` across the federation.
-    pub fn evict_job(&self, job: JobId) -> usize {
-        self.fed.evict_job(job)
-    }
-
-    /// Moves `job`'s live state from federation member `from` to `to`
-    /// and repins its routing, with predictions bit-identical across
-    /// the cut ([`FederatedEngine::migrate_job`]). The source member is
-    /// drained first, so every event whose submission completed before
-    /// this call is carried along; stop *new* submissions for `job`
-    /// for the duration. Misuse (stale route, bad member index)
-    /// returns a typed [`MigrateError`] with both members untouched.
-    pub fn migrate_job(&self, job: JobId, from: usize, to: usize) -> Result<usize, MigrateError> {
-        self.fed.migrate_job(job, from, to)
-    }
-
-    /// Quiesce barrier for `job`'s already-submitted ingest
-    /// ([`FederatedEngine::quiesce_job`]).
-    pub fn quiesce_job(&self, job: JobId) {
-        self.fed.quiesce_job(job);
-    }
-
-    /// Closes one epoch and runs the load-aware rebalancer
-    /// ([`FederatedEngine::rebalance_epoch`]): hot jobs migrate off
-    /// overloaded members when a [`FederationConfig::rebalance`] policy
-    /// is configured; plain epoch close otherwise.
-    pub fn rebalance_epoch(&self) -> RebalanceReport {
-        self.fed.rebalance_epoch()
-    }
-
-    /// Total streams resident in the engine.
-    pub fn stream_count(&self) -> usize {
-        self.client().stream_count()
-    }
-
-    /// Detected period of a stream, if locked and not expired.
-    pub fn period_of(&self, key: StreamKey) -> Option<usize> {
-        self.client().period_of(key)
-    }
-
-    /// Detector confidence of a stream's lock.
-    pub fn confidence_of(&self, key: StreamKey) -> Option<f64> {
-        self.client().confidence_of(key)
-    }
-
-    /// The federation-wide telemetry snapshot (latency histograms,
-    /// counters, flight-recorder log); `None` unless every member
-    /// engine was built with telemetry enabled
-    /// ([`EngineConfig::with_telemetry`]).
-    pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        self.client().telemetry()
     }
 }
 
@@ -477,11 +407,11 @@ mod tests {
             served.observe(i % 2, 64);
         }
         assert_eq!(
-            handle.stream_count(),
+            handle.client().stream_count(),
             2,
             "sender and size only — no constant tag stream"
         );
-        assert_eq!(handle.metrics().total().events_ingested, 20);
+        assert_eq!(handle.client().metrics().total().events_ingested, 20);
     }
 
     #[test]
@@ -512,7 +442,11 @@ mod tests {
         assert!(!b.expects(5, 70_000), "rank 1 never saw sender 5");
         // Both ranks' streams are resident in the one engine.
         drop((a, b)); // flush the staged tails
-        assert_eq!(handle.stream_count(), 6, "2 ranks x 3 attribute streams");
+        assert_eq!(
+            handle.client().stream_count(),
+            6,
+            "2 ranks x 3 attribute streams"
+        );
     }
 
     #[test]
@@ -525,7 +459,7 @@ mod tests {
         }
         drop(o);
         let key = StreamKey::new(3, StreamKind::Tag);
-        assert_eq!(handle.period_of(key), Some(4));
+        assert_eq!(handle.client().period_of(key), Some(4));
     }
 
     #[test]
@@ -551,7 +485,7 @@ mod tests {
             assert_eq!(ob.expects(s, b), ou.expects(s, b), "grants diverged");
         }
         drop((ob, ou));
-        let total = bounded.metrics().total();
+        let total = bounded.client().metrics_total();
         assert_eq!(total.shed_events, 0, "Block mode never sheds");
         assert!(total.queue_high_water <= 4, "lane within its cap");
     }
@@ -575,7 +509,7 @@ mod tests {
         assert!(b.expects(9, 16));
         drop((a, b));
         // Per-job rollups are disjoint and keys are namespaced.
-        let jobs = handle.job_metrics();
+        let jobs = handle.client().job_metrics();
         assert_eq!(jobs.iter().map(|&(j, _)| j).collect::<Vec<_>>(), vec![1, 2]);
         assert_eq!(
             jobs[0].1.events_ingested, 360,
@@ -583,23 +517,31 @@ mod tests {
         );
         assert_eq!(jobs[1].1.events_ingested, 90);
         assert_eq!(
-            handle.period_of(StreamKey::for_job(1, 0, StreamKind::Sender)),
+            handle
+                .client()
+                .period_of(StreamKey::for_job(1, 0, StreamKind::Sender)),
             Some(4)
         );
         assert_eq!(
-            handle.period_of(StreamKey::for_job(2, 0, StreamKind::Sender)),
+            handle
+                .client()
+                .period_of(StreamKey::for_job(2, 0, StreamKind::Sender)),
             Some(1)
         );
         assert_eq!(
-            handle.period_of(StreamKey::new(0, StreamKind::Sender)),
+            handle
+                .client()
+                .period_of(StreamKey::new(0, StreamKind::Sender)),
             None,
             "the default job never saw traffic"
         );
         // Evicting job 1 leaves job 2 serving.
-        assert_eq!(handle.evict_job(1), 3);
-        assert_eq!(handle.resident_jobs(), vec![2]);
+        assert_eq!(handle.federation().evict_job(1), 3);
+        assert_eq!(handle.client().resident_jobs(), vec![2]);
         assert_eq!(
-            handle.period_of(StreamKey::for_job(2, 0, StreamKind::Sender)),
+            handle
+                .client()
+                .period_of(StreamKey::for_job(2, 0, StreamKind::Sender)),
             Some(1)
         );
     }
@@ -620,7 +562,7 @@ mod tests {
         assert!(a.expects(5, 70_000));
         assert!(!b.expects(5, 70_000), "job 11 never saw sender 5");
         drop((a, b));
-        assert_eq!(handle.resident_jobs(), vec![10, 11]);
+        assert_eq!(handle.client().resident_jobs(), vec![10, 11]);
         assert_eq!(handle.federation().member_count(), 2);
         // Advisors namespace the same way.
         let advice = handle.advise_for_job(11, 0, 1);
@@ -631,6 +573,7 @@ mod tests {
         // metrics maps without bound).
         assert_eq!(
             handle
+                .client()
                 .job_metrics()
                 .iter()
                 .map(|&(j, _)| j)
@@ -653,7 +596,7 @@ mod tests {
         }
         drop(o);
         assert_eq!(
-            handle.metrics().total().events_ingested,
+            handle.client().metrics().total().events_ingested,
             30,
             "drop must flush the staged tail"
         );
@@ -663,7 +606,7 @@ mod tests {
     fn handle_exposes_telemetry_when_enabled_and_none_otherwise() {
         use mpp_engine::TelemetryConfig;
         let plain = EngineHandle::with_config(2, DpdConfig::default());
-        assert!(plain.telemetry().is_none(), "telemetry is opt-in");
+        assert!(plain.client().telemetry().is_none(), "telemetry is opt-in");
 
         let handle = EngineHandle::from_config(
             EngineConfig {
@@ -680,10 +623,10 @@ mod tests {
         }
         assert!(o.expects(1, 100_000));
         drop(o);
-        let snap = handle.telemetry().expect("enabled end to end");
+        let snap = handle.client().telemetry().expect("enabled end to end");
         assert_eq!(
             snap.counter("events_ingested"),
-            Some(handle.metrics().total().events_ingested),
+            Some(handle.client().metrics().total().events_ingested),
             "telemetry counters mirror the metrics rollup"
         );
         let h = snap.histogram("observe_batch_ns").expect("batch latency");

@@ -118,13 +118,15 @@ fn job_scoped_worlds_on_one_federation_match_private_engines() {
     assert_eq!(solo_a.makespan(), fed_a.makespan(), "job 1 interference");
     assert_eq!(solo_b.makespan(), fed_b.makespan(), "job 2 interference");
     // Both tenants' streams are resident, disjointly namespaced.
-    assert_eq!(shared.resident_jobs(), vec![1, 2]);
-    let jobs = shared.job_metrics();
+    assert_eq!(shared.client().resident_jobs(), vec![1, 2]);
+    let jobs = shared.client().job_metrics();
     let solo_events = 3 * solo_a.total_receives() as u64;
     assert_eq!(jobs[0].1.events_ingested, solo_events);
     assert!(jobs[1].1.events_ingested > 0);
     assert_eq!(
-        shared.period_of(StreamKey::new(1, StreamKind::Sender)),
+        shared
+            .client()
+            .period_of(StreamKey::new(1, StreamKind::Sender)),
         None,
         "nothing lives in the default job"
     );
@@ -146,7 +148,7 @@ fn engine_accumulates_streams_for_every_receiving_rank() {
             }
         });
     // Every rank received 30 messages; each delivery feeds 3 streams.
-    let total = handle.metrics().total();
+    let total = handle.client().metrics().total();
     assert_eq!(trace.total_receives(), 120);
     assert_eq!(total.events_ingested, 3 * 120);
     assert_eq!(total.resident_streams, 4 * 3, "sender/size/tag per rank");
@@ -154,7 +156,9 @@ fn engine_accumulates_streams_for_every_receiving_rank() {
     assert!(total.hit_rate().unwrap_or(0.0) > 0.8);
     // Engine-side stream state is inspectable per rank.
     for rank in 0..4u32 {
-        let p = handle.period_of(StreamKey::new(rank, StreamKind::Sender));
+        let p = handle
+            .client()
+            .period_of(StreamKey::new(rank, StreamKind::Sender));
         assert_eq!(p, Some(1), "single-sender stream has period 1");
     }
 }

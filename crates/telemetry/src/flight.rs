@@ -27,9 +27,6 @@ pub enum FlightKind {
     /// A stream's detected period changed. `a` = the stream's rank,
     /// `b` = length of the run the old period survived (observations).
     PeriodChurn,
-    /// Federation epoch maintenance re-bounded a member's lanes.
-    /// `a` = observed queue high water, `b` = the new capacity.
-    EpochRebound,
     /// A job was migrated live between federation members. `member` is
     /// the source, `a` = streams moved, `b` = the destination member.
     JobMigrated,
@@ -52,7 +49,6 @@ impl FlightKind {
             FlightKind::BackpressureShed => "backpressure_shed",
             FlightKind::WorkerGone => "worker_gone",
             FlightKind::PeriodChurn => "period_churn",
-            FlightKind::EpochRebound => "epoch_rebound",
             FlightKind::JobMigrated => "job_migrated",
             FlightKind::ChampionSwapped => "champion_swapped",
             FlightKind::WalTruncated => "wal_truncated",
@@ -199,6 +195,6 @@ mod tests {
     #[test]
     fn kinds_have_stable_labels() {
         assert_eq!(FlightKind::WorkerGone.label(), "worker_gone");
-        assert_eq!(FlightKind::EpochRebound.label(), "epoch_rebound");
+        assert_eq!(FlightKind::JobMigrated.label(), "job_migrated");
     }
 }

@@ -37,9 +37,9 @@ pub use mpp_core::{
     stream::{Symbol, SymbolMap},
 };
 pub use mpp_engine::{
-    AdaptiveCapacity, BackpressurePolicy, Engine, EngineClient, EngineConfig, EnsembleConfig,
-    FederatedClient, FederatedEngine, FederationConfig, FederationWorkerGone, FlightEvent,
-    FlightKind, HistogramSnapshot, JobId, JobMetrics, ModelStats, Observation, ObserveOutcome,
+    BackpressurePolicy, EngineClient, EngineConfig, EnsembleConfig, FederatedClient,
+    FederatedEngine, FederationConfig, FederationWorkerGone, FlightEvent, FlightKind,
+    HistogramSnapshot, JobId, JobMetrics, ModelStats, Observation, ObserveOutcome,
     PersistentEngine, Query, SlotId, SnapshotError, StreamKey, StreamKind, StreamTable,
     TelemetryConfig, TelemetrySnapshot, WorkerGone, DEFAULT_JOB, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
