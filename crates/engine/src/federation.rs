@@ -34,9 +34,9 @@
 //!   job's predictions bit-identical across the cut and its per-job
 //!   clock carried along (differential-tested in
 //!   `tests/federation.rs`).
-//! * **Per-job operations.** [`FederatedEngine::evict_job`] reclaims
-//!   one tenant across every member, [`FederatedEngine::resident_jobs`]
-//!   lists live tenants, and [`FederatedEngine::job_metrics`] rolls
+//! * **Per-job operations.** [`FederatedClient::evict_job`] reclaims
+//!   one tenant across every member, [`FederatedClient::resident_jobs`]
+//!   lists live tenants, and [`FederatedClient::job_metrics`] rolls
 //!   each job's scoring counters up across shards and members.
 //! * **Failure attribution.** A dead shard worker inside a member
 //!   surfaces as [`FederationWorkerGone`] carrying the job whose leg
@@ -629,7 +629,7 @@ impl FederatedEngine {
     /// serving the job's traffic: pinning a job that already has
     /// resident streams strands that state on the old member (new
     /// traffic restarts cold on the new one; reclaim the remnant with
-    /// [`FederatedEngine::evict_job`], which reaches every member).
+    /// [`FederatedClient::evict_job`], which reaches every member).
     ///
     /// Errs with [`MigrateError::MemberOutOfRange`] — without touching
     /// the pin table — when `member` is outside the federation, so
@@ -730,7 +730,7 @@ impl FederatedEngine {
     /// routable state: before the pin write the job recovers on the
     /// source, after it on the target; a leftover copy on the other
     /// member is unreachable by routing and reclaimable with
-    /// [`FederatedEngine::evict_job`].
+    /// [`FederatedClient::evict_job`].
     ///
     /// The source member is drained first (the
     /// [`FederatedEngine::quiesce_job`] barrier), so every observation
@@ -833,53 +833,6 @@ impl FederatedEngine {
         }
     }
 
-    /// Forcibly evicts every resident stream of `job` on every member
-    /// (pinned-away remnants included), returning how many streams were
-    /// removed. The job's metric rollups survive.
-    pub fn evict_job(&self, job: JobId) -> usize {
-        self.client().evict_job(job)
-    }
-
-    /// Jobs with at least one resident stream anywhere in the
-    /// federation, ascending.
-    pub fn resident_jobs(&self) -> Vec<JobId> {
-        self.client().resident_jobs()
-    }
-
-    /// Per-job scoring rollups summed across every member's shards,
-    /// ascending by job.
-    pub fn job_metrics(&self) -> Vec<(JobId, JobMetrics)> {
-        self.client().job_metrics()
-    }
-
-    /// One job's rollup summed across the federation (zeros for a job
-    /// never seen).
-    pub fn job_metrics_of(&self, job: JobId) -> JobMetrics {
-        self.client().job_metrics_of(job)
-    }
-
-    /// Per-member, per-shard metrics snapshot.
-    pub fn metrics(&self) -> FederationMetrics {
-        self.client().metrics()
-    }
-
-    /// Aggregate counters across every member's shards.
-    pub fn metrics_total(&self) -> ShardMetrics {
-        self.metrics().total()
-    }
-
-    /// Total streams resident across the federation.
-    pub fn stream_count(&self) -> usize {
-        self.client().stream_count()
-    }
-
-    /// The federation-wide telemetry snapshot (see
-    /// [`FederatedClient::telemetry`]); `None` unless every member has
-    /// telemetry enabled.
-    pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
-        self.client().telemetry()
-    }
-
     /// Total events submitted across the federation (sum of member
     /// clocks; members keep independent engine-time domains).
     pub fn clock(&self) -> u64 {
@@ -950,8 +903,8 @@ impl FederatedEngine {
         // Ensemble volatility per job (cumulative): events served by
         // challenger champions plus champion swaps. Zero on DPD-only
         // members.
-        let mix: HashMap<JobId, u64> = self
-            .client()
+        let client = self.client();
+        let mix: HashMap<JobId, u64> = client
             .job_model_stats()
             .into_iter()
             .map(|(job, ms)| {
@@ -960,7 +913,7 @@ impl FederatedEngine {
                 (job, churn)
             })
             .collect();
-        let jobs: Vec<(JobId, usize, u64, u64)> = self
+        let jobs: Vec<(JobId, usize, u64, u64)> = client
             .job_metrics()
             .into_iter()
             .map(|(job, m)| {
@@ -1503,10 +1456,10 @@ mod tests {
                 assert_eq!(resident, m == owner, "job {job} on member {m}");
             }
         }
-        assert_eq!(fed.resident_jobs(), vec![0, 1, 2]);
-        assert_eq!(fed.stream_count(), 3);
-        assert_eq!(fed.metrics_total().events_ingested, 20 + 30 + 10);
-        assert_eq!(fed.job_metrics_of(1).events_ingested, 30);
+        assert_eq!(client.resident_jobs(), vec![0, 1, 2]);
+        assert_eq!(client.stream_count(), 3);
+        assert_eq!(client.metrics_total().events_ingested, 20 + 30 + 10);
+        assert_eq!(client.job_metrics_of(1).events_ingested, 30);
     }
 
     #[test]
@@ -1540,8 +1493,8 @@ mod tests {
         let old = fed.member_of(0);
         fed.pin_job(0, (old + 1) % 2);
         train(&client, jkey(0, 0), &[1, 2], 8);
-        assert_eq!(fed.evict_job(0), 2, "remnant + pinned state both go");
-        assert_eq!(fed.resident_jobs(), vec![1]);
+        assert_eq!(client.evict_job(0), 2, "remnant + pinned state both go");
+        assert_eq!(client.resident_jobs(), vec![1]);
         assert_eq!(client.predict(jkey(1, 0), 1), Some(5), "job 1 untouched");
     }
 
@@ -1598,7 +1551,7 @@ mod tests {
         let report = fed.end_epoch();
         assert!(report.iter().all(|r| r.queue_high_water == 0));
         assert_eq!(fed.epoch(), 2);
-        assert!(fed.metrics_total().queue_high_water > 0);
+        assert!(client.metrics_total().queue_high_water > 0);
         train(&client, jkey(busy_job, 1), &[3, 4], 10);
         assert_eq!(client.predict(jkey(busy_job, 1), 1), Some(3));
     }

@@ -12,8 +12,9 @@
 //! There is one execution mode: a [`PersistentEngine`] runs one
 //! long-lived worker thread per shard, each owning one [`Shard`], fed
 //! over crossbeam channels through per-thread [`EngineClient`]s
-//! (lock-free submission, epoch-stamped replies, graceful shutdown on
-//! drop). A [`FederatedEngine`] routes jobs over several of them.
+//! (lock-free submission, queries as closures the shard's worker runs,
+//! epoch-stamped replies, graceful shutdown on drop). A
+//! [`FederatedEngine`] routes jobs over several of them.
 //!
 //! Four properties are load-bearing and tested:
 //!
@@ -34,8 +35,9 @@
 //!    their fixed [`Ring`](mpp_core::ring::Ring) buffers and forecast
 //!    output lands in caller-provided, capacity-reused vectors. The
 //!    persistent engine recycles its cross-thread leg buffers through a
-//!    return channel. Query calls do allocate small per-call leg/reply
-//!    structures — they are re-plan-rate, not event-rate. Client leg
+//!    return channel. A query allocates its boxed closure and its boxed
+//!    result — re-plan-rate, not event-rate — and forecast output
+//!    travels to the shard and back in the caller's vector. Client leg
 //!    pools are bounded (entry count and per-buffer capacity), so a
 //!    one-off burst cannot pin its peak footprint forever.
 //! 4. **Deterministic backpressure.** With

@@ -12,11 +12,15 @@
 //!
 //! * **Lock-free submission.** There is no engine mutex anywhere:
 //!   clients partition batches and push commands into per-shard
-//!   channels. Observes are fire-and-forget; queries carry a clone of
-//!   the client's private reply sender plus an **epoch** (a per-client
-//!   sequence number). The client drains its reply lane until the
-//!   epoch matches, so a reply can never be attributed to the wrong
-//!   request even after an aborted collection.
+//!   channels. Observes are fire-and-forget. A query is a closure the
+//!   shard's worker runs on its shard; it carries a clone of the
+//!   client's private reply sender plus an **epoch** (a per-client
+//!   sequence number), and the worker sends the boxed result back
+//!   with that epoch. The client skips replies of older epochs, so a
+//!   reply can never be attributed to the wrong request even after an
+//!   aborted collection. A query fails with a [`WorkerGone`] naming
+//!   the first asked shard whose worker is gone; a dead shard never
+//!   fails a query that waits only on healthy ones.
 //! * **Ordering.** Channels are FIFO per sender, and all streams of a
 //!   rank hash to one shard, so a client always observes its own
 //!   writes: a query submitted after an observe of the same rank sees
@@ -104,12 +108,13 @@ use crate::oplog::{self, WalWriter};
 use crate::shard::Shard;
 use crate::snapshot::{
     decode_engine_for, decode_job_for, encode_engine, encode_job, EngineSnapshot, JobSnapshot,
-    ShardState, SnapshotError, StreamState,
+    SnapshotError, StreamState,
 };
 use crate::types::{JobId, Observation, Query, RankId, StreamKey, DEFAULT_JOB};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use fxhash::FxHashMap;
 use mpp_telemetry::{FlightEvent, FlightKind, FlightRecorder, Histogram, TelemetrySnapshot};
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -338,6 +343,10 @@ impl Leg {
     }
 }
 
+/// A query as it crosses the lane: a closure over the worker's shard
+/// whose result travels back boxed.
+type ShardFn = Box<dyn FnOnce(&mut Shard) -> Box<dyn Any + Send> + Send>;
+
 /// One command in a shard worker's queue.
 enum ShardCmd {
     /// Fire-and-forget batch leg. `now` is engine time after the whole
@@ -352,12 +361,13 @@ enum ShardCmd {
         recycle: Sender<(usize, Leg)>,
         sent_at: Option<Instant>,
     },
-    /// Synchronous request; the worker answers on `reply` echoing
-    /// `epoch` and its shard id.
+    /// Synchronous request: the worker runs `run` on its shard and
+    /// answers on `reply` with the boxed result, echoing `epoch` and
+    /// its shard id.
     Query {
         epoch: u64,
         reply: Sender<Reply>,
-        body: QueryBody,
+        run: ShardFn,
     },
     /// Test support: sleep for the given duration before processing
     /// each subsequent command (zero turns throttling off). Lets tests
@@ -369,113 +379,11 @@ enum ShardCmd {
     Exit,
 }
 
-enum QueryBody {
-    Predict {
-        queries: Vec<Query>,
-        /// Per-query `now`, parallel to `queries`: with a TTL each
-        /// query is served in its own job's time domain.
-        nows: Vec<u64>,
-    },
-    Forecast {
-        job: JobId,
-        rank: RankId,
-        depth: usize,
-        now: u64,
-    },
-    Metrics,
-    JobMetrics,
-    /// Shard-level per-model counters (champion/challenger scoreboard).
-    ModelStats,
-    /// Per-job per-model counters.
-    JobModelStats,
-    ResidentJobs,
-    EvictJob {
-        job: JobId,
-    },
-    PeriodOf {
-        key: StreamKey,
-        now: u64,
-    },
-    ConfidenceOf {
-        key: StreamKey,
-        now: u64,
-    },
-    EvictStream {
-        key: StreamKey,
-    },
-    LruOldest {
-        n: usize,
-    },
-    Sweep {
-        now: u64,
-        /// Current per-job clocks from the registry, folded into the
-        /// shard's watermarks before the sweep so streams of jobs whose
-        /// traffic no longer reaches this shard still age.
-        job_nows: Vec<(JobId, u64)>,
-    },
-    Telemetry,
-    /// Export the shard's complete predictive state (snapshotting).
-    Snapshot,
-    /// Export one job's slice of this shard (migration payload).
-    SnapshotJob {
-        job: JobId,
-    },
-    /// Replace the shard's predictive state (whole-engine restore).
-    Restore(Box<ShardState>),
-    /// Re-home one job's streams into this shard, replacing any state
-    /// it already held for the job. `history` rides on exactly one
-    /// shard (the job's historical counters must not multiply by the
-    /// shard count).
-    RestoreJob {
-        job: JobId,
-        streams: Vec<StreamState>,
-        history: Option<Box<JobMetrics>>,
-        /// Per-model history, riding with `history` on the same single
-        /// shard (empty otherwise, and on DPD-only engines).
-        models: Vec<ModelStats>,
-        watermark: u64,
-    },
-    /// Remove every trace of a job — streams, rollup history, watermark
-    /// — as a *move* (nothing counted evicted; see
-    /// [`Shard::extract_job`]).
-    ExtractJob {
-        job: JobId,
-    },
-    /// Pure barrier: does nothing shard-side, but command lanes are
-    /// FIFO, so the reply proves every command enqueued on this shard's
-    /// lane — by *any* client — before this query was submitted has
-    /// been fully processed (the quiesce primitive under
-    /// [`crate::FederatedEngine::quiesce_job`]).
-    Drain,
-}
-
-/// Epoch-stamped worker answer.
+/// Epoch-stamped worker answer: the boxed result of one query.
 struct Reply {
     epoch: u64,
     shard: u32,
-    body: ReplyBody,
-}
-
-enum ReplyBody {
-    Predictions(Vec<Option<u64>>),
-    Forecast(Vec<(Option<u64>, Option<u64>)>),
-    Metrics(Box<ShardMetrics>),
-    JobRollups(Vec<(JobId, JobMetrics)>),
-    Models(Vec<ModelStats>),
-    JobModels(Vec<(JobId, Vec<ModelStats>)>),
-    Jobs(Vec<JobId>),
-    Period(Option<usize>),
-    Confidence(Option<f64>),
-    Evicted(usize),
-    Oldest(Vec<(u64, StreamKey)>),
-    Telemetry(Box<TelemetrySnapshot>),
-    State(Box<ShardState>),
-    JobSlice {
-        metrics: Option<JobMetrics>,
-        models: Vec<ModelStats>,
-        watermark: u64,
-        streams: Vec<StreamState>,
-    },
+    result: Box<dyn Any + Send>,
 }
 
 /// Engine-level (client-side) telemetry: what the shard workers cannot
@@ -710,88 +618,12 @@ fn worker_loop(
                 // is then simply dropped.
                 let _ = recycle.send((shard_id as usize, empty));
             }
-            ShardCmd::Query { epoch, reply, body } => {
-                let body = match body {
-                    QueryBody::Predict { queries, nows } => ReplyBody::Predictions(
-                        queries
-                            .iter()
-                            .zip(&nows)
-                            .map(|(q, &now)| shard.predict_at(*q, now))
-                            .collect(),
-                    ),
-                    QueryBody::Forecast {
-                        job,
-                        rank,
-                        depth,
-                        now,
-                    } => {
-                        let mut out = Vec::with_capacity(depth);
-                        shard.forecast_at(job, rank, depth, now, &mut out);
-                        ReplyBody::Forecast(out)
-                    }
-                    QueryBody::Metrics => ReplyBody::Metrics(Box::new(shard.metrics())),
-                    QueryBody::JobMetrics => ReplyBody::JobRollups(shard.job_metrics()),
-                    QueryBody::ModelStats => ReplyBody::Models(shard.model_stats()),
-                    QueryBody::JobModelStats => ReplyBody::JobModels(shard.job_model_stats()),
-                    QueryBody::ResidentJobs => ReplyBody::Jobs(shard.resident_jobs()),
-                    QueryBody::EvictJob { job } => ReplyBody::Evicted(shard.evict_job(job)),
-                    QueryBody::PeriodOf { key, now } => {
-                        ReplyBody::Period(shard.period_of_at(key, now))
-                    }
-                    QueryBody::ConfidenceOf { key, now } => {
-                        ReplyBody::Confidence(shard.confidence_of_at(key, now))
-                    }
-                    QueryBody::EvictStream { key } => {
-                        ReplyBody::Evicted(usize::from(shard.evict_stream(key)))
-                    }
-                    QueryBody::LruOldest { n } => ReplyBody::Oldest(shard.lru_oldest(n)),
-                    QueryBody::Sweep { now, job_nows } => {
-                        for (job, jnow) in job_nows {
-                            shard.fold_job_now(job, jnow);
-                        }
-                        ReplyBody::Evicted(shard.sweep_expired(now))
-                    }
-                    QueryBody::Telemetry => ReplyBody::Telemetry(Box::new(
-                        shard.telemetry_snapshot().unwrap_or_default(),
-                    )),
-                    QueryBody::Snapshot => ReplyBody::State(Box::new(shard.export_state())),
-                    QueryBody::SnapshotJob { job } => {
-                        let (metrics, models, watermark, streams) = shard.export_job_state(job);
-                        ReplyBody::JobSlice {
-                            metrics,
-                            models,
-                            watermark,
-                            streams,
-                        }
-                    }
-                    QueryBody::Restore(st) => {
-                        shard.restore_state(&st);
-                        ReplyBody::Evicted(st.streams.len())
-                    }
-                    QueryBody::RestoreJob {
-                        job,
-                        streams,
-                        history,
-                        models,
-                        watermark,
-                    } => {
-                        shard.extract_job(job);
-                        if !streams.is_empty() {
-                            shard.restore_job_streams(job, &streams, watermark);
-                        }
-                        if let Some(h) = history {
-                            shard.restore_job_history(job, &h, &models);
-                            shard.fold_job_now(job, watermark);
-                        }
-                        ReplyBody::Evicted(streams.len())
-                    }
-                    QueryBody::ExtractJob { job } => ReplyBody::Evicted(shard.extract_job(job)),
-                    QueryBody::Drain => ReplyBody::Evicted(0),
-                };
+            ShardCmd::Query { epoch, reply, run } => {
+                let result = run(&mut shard);
                 let _ = reply.send(Reply {
                     epoch,
                     shard: shard_id,
-                    body,
+                    result,
                 });
             }
         }
@@ -1032,13 +864,12 @@ impl PersistentEngine {
                 registry.insert(job, Arc::new(AtomicU64::new(c)));
             }
         }
-        let client = eng.client();
-        let mut states: Vec<Option<Box<ShardState>>> = snap
-            .shard_states
-            .into_iter()
-            .map(|s| Some(Box::new(s)))
-            .collect();
-        client.broadcast(|s| QueryBody::Restore(states[s].take().expect("one state per shard")));
+        eng.client().ask(
+            snap.shard_states
+                .into_iter()
+                .enumerate()
+                .map(|(s, st)| (s, move |sh: &mut Shard| sh.restore_state(&st))),
+        );
         Ok(eng)
     }
 
@@ -1280,34 +1111,6 @@ impl EngineClient {
             .unwrap()
             .get(&job)
             .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// Blocks for the next reply on this client's lane. The lane's
-    /// sender side can never fully disconnect (the client itself holds
-    /// a sender), so a worker that panicked mid-query is detected by
-    /// liveness-checking the worker threads whenever the wait stalls —
-    /// the call must fail loudly, not hang forever. Workers only exit
-    /// normally once every client is gone, so a finished worker here is
-    /// always a dead one.
-    ///
-    /// A worker recycles each leg before it serves the next command, so
-    /// when a shard's reply arrives every leg sent to it earlier is on
-    /// the return lane; draining it here puts them back in the pool.
-    fn recv_reply(&self) -> Reply {
-        loop {
-            match self.reply_rx.recv_timeout(Duration::from_millis(200)) {
-                Ok(r) => {
-                    self.drain_recycled();
-                    return r;
-                }
-                Err(_timeout) => {
-                    assert!(
-                        !self.inner.workers.iter().any(JoinHandle::is_finished),
-                        "engine worker died while a query was in flight"
-                    );
-                }
-            }
-        }
     }
 
     /// Puts a finished leg's buffer in a shard's pool slot, enforcing
@@ -1558,106 +1361,113 @@ impl EngineClient {
         self.observe_batch(&[Observation::new(key, value)]);
     }
 
-    /// Sends one query command to `shard`, blocking while a bounded
-    /// lane is full (queries are never shed). Panics with a clear
-    /// [`WorkerGone`] message if the shard's lane is closed.
-    fn send_query(&self, shard: usize, epoch: u64, body: QueryBody) {
-        let tx = &self.inner.senders[shard];
-        let sent = tx.send(ShardCmd::Query {
-            epoch,
-            reply: self.reply_tx.clone(),
-            body,
-        });
-        if sent.is_err() {
-            panic!("{}", WorkerGone { shard });
-        }
-        // Queries sample the all-time mark only (see `epoch_high_water`).
-        self.inner.lanes[shard]
-            .queue_high_water
-            .fetch_max(tx.len() as u64, Ordering::Relaxed);
-    }
-
-    /// Like [`EngineClient::call`] but tolerant of a dead worker:
-    /// returns `None` when the shard's lane is already closed or its
-    /// worker exits while the query is in flight, instead of
-    /// panicking. Telemetry collection uses this so one dead shard
-    /// cannot take down the snapshot of the healthy ones.
-    fn try_call(&self, shard: usize, body: QueryBody) -> Option<ReplyBody> {
+    /// The one scatter/gather path behind every query: sends each
+    /// closure to its shard's worker, then waits for exactly those
+    /// shards and returns their results in ask order. Every query goes
+    /// out before any reply is awaited, so shards serve concurrently;
+    /// a full bounded lane blocks the send (queries are never shed).
+    ///
+    /// Replies of an older epoch, left by an aborted collection, are
+    /// skipped; that is also what makes every downcast here succeed.
+    /// Each reply drains the leg-return lane: a worker recycles each
+    /// leg before it serves the next command, so when a shard's reply
+    /// arrives every leg sent to it earlier is back in the pool.
+    ///
+    /// Errs with [`WorkerGone`] for the first asked shard whose lane is
+    /// closed or whose worker exits with the query unanswered. The
+    /// reply lane itself never disconnects (the client holds a
+    /// sender), so a stalled wait polls the asked workers' liveness;
+    /// a dead worker that was not asked fails nothing.
+    fn try_ask<R, F>(
+        &self,
+        asks: impl IntoIterator<Item = (usize, F)>,
+    ) -> Result<Vec<R>, WorkerGone>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Shard) -> R + Send + 'static,
+    {
         let epoch = self.next_epoch();
-        let sent = self.inner.senders[shard].send(ShardCmd::Query {
-            epoch,
-            reply: self.reply_tx.clone(),
-            body,
-        });
-        sent.ok()?;
-        loop {
-            match self.reply_rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(r) if r.epoch == epoch => return Some(r.body),
-                Ok(_stale) => continue,
+        let mut asked: Vec<(usize, Option<R>)> = Vec::new();
+        for (shard, f) in asks {
+            let tx = &self.inner.senders[shard];
+            let run: ShardFn =
+                Box::new(move |sh: &mut Shard| Box::new(f(sh)) as Box<dyn Any + Send>);
+            let reply = self.reply_tx.clone();
+            tx.send(ShardCmd::Query { epoch, reply, run })
+                .map_err(|_| WorkerGone { shard })?;
+            // Queries sample the all-time mark only (see `epoch_high_water`).
+            self.inner.lanes[shard]
+                .queue_high_water
+                .fetch_max(tx.len() as u64, Ordering::Relaxed);
+            asked.push((shard, None));
+        }
+        let mut pending = asked.len();
+        while pending > 0 {
+            let reply = match self.reply_rx.recv_timeout(Duration::from_millis(50)) {
+                Ok(reply) => reply,
                 Err(_timeout) => {
-                    // A finished worker here died (or was killed) with
-                    // our query still queued; it will never answer.
-                    if self.inner.workers[shard].is_finished() {
-                        return None;
+                    // A finished worker has sent every reply it ever
+                    // will, so once the lane is empty its query is lost.
+                    let dead = asked
+                        .iter()
+                        .find(|(s, r)| r.is_none() && self.inner.workers[*s].is_finished());
+                    match dead {
+                        Some(&(shard, _)) if self.reply_rx.is_empty() => {
+                            return Err(WorkerGone { shard })
+                        }
+                        _ => continue,
                     }
                 }
+            };
+            self.drain_recycled();
+            if reply.epoch != epoch {
+                continue;
             }
-        }
-    }
-
-    /// Sends one query to `shard` and blocks for its reply, discarding
-    /// stale (earlier-epoch) replies left by any aborted collection.
-    fn call(&self, shard: usize, body: QueryBody) -> ReplyBody {
-        let epoch = self.next_epoch();
-        self.send_query(shard, epoch, body);
-        loop {
-            let r = self.recv_reply();
-            if r.epoch == epoch {
-                return r.body;
-            }
-        }
-    }
-
-    /// Sends one query per shard (same epoch) and collects the replies
-    /// in shard order.
-    fn broadcast(&self, mut body_for: impl FnMut(usize) -> QueryBody) -> Vec<ReplyBody> {
-        let nshards = self.inner.senders.len();
-        let epoch = self.next_epoch();
-        for s in 0..nshards {
-            self.send_query(s, epoch, body_for(s));
-        }
-        let mut out: Vec<Option<ReplyBody>> = Vec::new();
-        out.resize_with(nshards, || None);
-        let mut pending = nshards;
-        while pending > 0 {
-            let r = self.recv_reply();
-            if r.epoch != epoch {
-                continue; // stale reply from an aborted collection
-            }
-            let slot = &mut out[r.shard as usize];
-            assert!(slot.is_none(), "duplicate reply from shard {}", r.shard);
-            *slot = Some(r.body);
+            let (_, slot) = asked
+                .iter_mut()
+                .find(|(s, r)| *s == reply.shard as usize && r.is_none())
+                .expect("a reply of this epoch answers an asked shard");
+            let result = reply.result.downcast::<R>();
+            *slot = Some(*result.expect("a reply of this epoch carries its query's result"));
             pending -= 1;
         }
-        out.into_iter()
-            .map(|b| b.expect("all shards replied"))
-            .collect()
+        Ok(asked.into_iter().filter_map(|(_, r)| r).collect())
+    }
+
+    /// [`EngineClient::try_ask`], panicking with the [`WorkerGone`]
+    /// message.
+    fn ask<R, F>(&self, asks: impl IntoIterator<Item = (usize, F)>) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Shard) -> R + Send + 'static,
+    {
+        self.try_ask(asks).unwrap_or_else(|gone| panic!("{gone}"))
+    }
+
+    /// Runs `f` on `shard`'s worker and returns its result.
+    fn ask_one<R, F>(&self, shard: usize, f: F) -> R
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Shard) -> R + Send + 'static,
+    {
+        self.ask([(shard, f)]).pop().expect("one ask, one result")
+    }
+
+    /// Runs `f` on every shard, returning the results in shard order.
+    fn ask_all<R, F>(&self, f: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut Shard) -> R + Clone + Send + 'static,
+    {
+        self.ask((0..self.shard_count()).map(|s| (s, f.clone())))
     }
 
     /// Serves one query.
     pub fn predict(&self, key: StreamKey, horizon: u32) -> Option<u64> {
-        let s = shard_of_key(key, self.inner.senders.len());
         let now = self.job_now(key.job);
-        match self.call(
-            s,
-            QueryBody::Predict {
-                queries: vec![Query::new(key, horizon)],
-                nows: vec![now],
-            },
-        ) {
-            ReplyBody::Predictions(mut p) => p.pop().expect("one answer per query"),
-            _ => unreachable!("predict reply shape"),
-        }
+        self.ask_one(shard_of_key(key, self.shard_count()), move |sh| {
+            sh.predict_at(Query::new(key, horizon), now)
+        })
     }
 
     /// Serves `queries`, writing one entry per query into `out`
@@ -1672,41 +1482,19 @@ impl EngineClient {
         let nshards = self.inner.senders.len();
         // Partition into per-shard legs, remembering original positions.
         // Each query carries its own job's `now` (per-job time domains).
-        type PredictLeg = (Vec<Query>, Vec<u64>, Vec<u32>);
-        let mut legs: Vec<PredictLeg> = vec![(Vec::new(), Vec::new(), Vec::new()); nshards];
+        let mut legs: Vec<Vec<(u32, Query, u64)>> = vec![Vec::new(); nshards];
         for (i, q) in queries.iter().enumerate() {
-            let s = shard_of_key(q.key, nshards);
-            legs[s].0.push(*q);
-            legs[s].1.push(self.job_now(q.key.job));
-            legs[s].2.push(i as u32);
+            legs[shard_of_key(q.key, nshards)].push((i as u32, *q, self.job_now(q.key.job)));
         }
-        let epoch = self.next_epoch();
-        let mut positions: Vec<Option<Vec<u32>>> = Vec::new();
-        positions.resize_with(nshards, || None);
-        let mut pending = 0usize;
-        for (s, (leg, nows, pos)) in legs.into_iter().enumerate() {
-            if leg.is_empty() {
-                continue;
-            }
-            positions[s] = Some(pos);
-            self.send_query(s, epoch, QueryBody::Predict { queries: leg, nows });
-            pending += 1;
-        }
-        while pending > 0 {
-            let r = self.recv_reply();
-            if r.epoch != epoch {
-                continue;
-            }
-            let ReplyBody::Predictions(preds) = r.body else {
-                unreachable!("predict reply shape");
-            };
-            let pos = positions[r.shard as usize]
-                .take()
-                .expect("reply matches a dispatched leg");
-            for (p, i) in preds.into_iter().zip(pos) {
-                out[i as usize] = p;
-            }
-            pending -= 1;
+        let busy = legs.into_iter().enumerate().filter(|(_, l)| !l.is_empty());
+        let asks = busy.map(|(s, leg)| {
+            (s, move |sh: &mut Shard| -> Vec<(u32, Option<u64>)> {
+                let serve = |(i, q, now)| (i, sh.predict_at(q, now));
+                leg.into_iter().map(serve).collect()
+            })
+        });
+        for (i, p) in self.ask(asks).into_iter().flatten() {
+            out[i as usize] = p;
         }
     }
 
@@ -1722,7 +1510,8 @@ impl EngineClient {
     }
 
     /// The next `depth` forecast (sender, size) pairs for `rank` inside
-    /// `job`'s namespace.
+    /// `job`'s namespace. `out` travels to the shard and back, so the
+    /// forecast lands in the caller's buffer.
     pub fn forecast_messages_for_job(
         &self,
         job: JobId,
@@ -1730,43 +1519,28 @@ impl EngineClient {
         depth: usize,
         out: &mut Vec<(Option<u64>, Option<u64>)>,
     ) {
-        let s = shard_of(job, rank, self.inner.senders.len());
         let now = self.job_now(job);
-        match self.call(
-            s,
-            QueryBody::Forecast {
-                job,
-                rank,
-                depth,
-                now,
-            },
-        ) {
-            ReplyBody::Forecast(f) => {
-                out.clear();
-                out.extend(f);
-            }
-            _ => unreachable!("forecast reply shape"),
-        }
+        let mut buf = std::mem::take(out);
+        *out = self.ask_one(shard_of(job, rank, self.shard_count()), move |sh| {
+            sh.forecast_at(job, rank, depth, now, &mut buf);
+            buf
+        });
     }
 
     /// Detected period of a stream, if locked and not expired.
     pub fn period_of(&self, key: StreamKey) -> Option<usize> {
-        let s = shard_of_key(key, self.inner.senders.len());
         let now = self.job_now(key.job);
-        match self.call(s, QueryBody::PeriodOf { key, now }) {
-            ReplyBody::Period(p) => p,
-            _ => unreachable!("period reply shape"),
-        }
+        self.ask_one(shard_of_key(key, self.shard_count()), move |sh| {
+            sh.period_of_at(key, now)
+        })
     }
 
     /// Detector confidence of a stream's lock.
     pub fn confidence_of(&self, key: StreamKey) -> Option<f64> {
-        let s = shard_of_key(key, self.inner.senders.len());
         let now = self.job_now(key.job);
-        match self.call(s, QueryBody::ConfidenceOf { key, now }) {
-            ReplyBody::Confidence(c) => c,
-            _ => unreachable!("confidence reply shape"),
-        }
+        self.ask_one(shard_of_key(key, self.shard_count()), move |sh| {
+            sh.confidence_of_at(key, now)
+        })
     }
 
     /// Per-shard metrics snapshot. Each shard's snapshot is taken after
@@ -1776,21 +1550,12 @@ impl EngineClient {
     /// `send_blocked`, `shed_events`) are merged in from the shared
     /// lane stats, which workers cannot observe themselves.
     pub fn metrics(&self) -> EngineMetrics {
-        let shards = self
-            .broadcast(|_| QueryBody::Metrics)
-            .into_iter()
-            .zip(&self.inner.lanes)
-            .map(|(b, lane)| match b {
-                ReplyBody::Metrics(m) => {
-                    let mut m = *m;
-                    m.queue_high_water = lane.queue_high_water.load(Ordering::Relaxed);
-                    m.send_blocked = lane.send_blocked.load(Ordering::Relaxed);
-                    m.shed_events = lane.shed_events.load(Ordering::Relaxed);
-                    m
-                }
-                _ => unreachable!("metrics reply shape"),
-            })
-            .collect();
+        let mut shards = self.ask_all(|sh| sh.metrics());
+        for (m, lane) in shards.iter_mut().zip(&self.inner.lanes) {
+            m.queue_high_water = lane.queue_high_water.load(Ordering::Relaxed);
+            m.send_blocked = lane.send_blocked.load(Ordering::Relaxed);
+            m.shed_events = lane.shed_events.load(Ordering::Relaxed);
+        }
         EngineMetrics { shards }
     }
 
@@ -1825,11 +1590,10 @@ impl EngineClient {
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
         let tel = self.inner.telemetry.as_ref()?;
         let mut total = TelemetrySnapshot::new();
-        for s in 0..self.inner.senders.len() {
-            let snap = match self.try_call(s, QueryBody::Telemetry) {
-                Some(ReplyBody::Telemetry(snap)) => Some(*snap),
-                Some(_) => unreachable!("telemetry reply shape"),
-                None => tel.morgue[s].lock().unwrap().clone(),
+        for s in 0..self.shard_count() {
+            let snap = match self.try_ask([(s, |sh: &mut Shard| sh.telemetry_snapshot())]) {
+                Ok(mut snaps) => snaps.pop().flatten(),
+                Err(_gone) => tel.morgue[s].lock().unwrap().clone(),
             };
             if let Some(snap) = snap {
                 total.merge(&snap);
@@ -1862,36 +1626,21 @@ impl EngineClient {
 
     /// Forcibly evicts one stream, returning whether it was resident.
     pub fn evict_stream(&self, key: StreamKey) -> bool {
-        let s = shard_of_key(key, self.inner.senders.len());
-        match self.call(s, QueryBody::EvictStream { key }) {
-            ReplyBody::Evicted(n) => n > 0,
-            _ => unreachable!("evict reply shape"),
-        }
+        self.ask_one(shard_of_key(key, self.shard_count()), move |sh| {
+            sh.evict_stream(key)
+        })
     }
 
     /// Forcibly evicts every resident stream of `job` across all
     /// shards, returning how many were removed. The job's metric
     /// rollups survive; returning streams restart cold.
     pub fn evict_job(&self, job: JobId) -> usize {
-        self.broadcast(|_| QueryBody::EvictJob { job })
-            .into_iter()
-            .map(|b| match b {
-                ReplyBody::Evicted(n) => n,
-                _ => unreachable!("evict-job reply shape"),
-            })
-            .sum()
+        self.ask_all(move |sh| sh.evict_job(job)).into_iter().sum()
     }
 
     /// Jobs with at least one resident stream, ascending.
     pub fn resident_jobs(&self) -> Vec<JobId> {
-        let mut jobs: Vec<JobId> = self
-            .broadcast(|_| QueryBody::ResidentJobs)
-            .into_iter()
-            .flat_map(|b| match b {
-                ReplyBody::Jobs(j) => j,
-                _ => unreachable!("resident-jobs reply shape"),
-            })
-            .collect();
+        let mut jobs: Vec<JobId> = self.ask_all(|sh| sh.resident_jobs()).concat();
         jobs.sort_unstable();
         jobs.dedup();
         jobs
@@ -1899,48 +1648,28 @@ impl EngineClient {
 
     /// Per-job scoring rollups summed across shards, ascending by job.
     pub fn job_metrics(&self) -> Vec<(JobId, JobMetrics)> {
-        merge_job_rollups(
-            self.broadcast(|_| QueryBody::JobMetrics)
-                .into_iter()
-                .map(|b| match b {
-                    ReplyBody::JobRollups(j) => j,
-                    _ => unreachable!("job-metrics reply shape"),
-                })
-                .collect(),
-        )
+        merge_job_rollups(self.ask_all(|sh| sh.job_metrics()))
     }
 
     /// Per-model champion/challenger counters summed across shards,
     /// positional over the roster (index 0 = primary DPD). Empty on
     /// DPD-only engines.
     pub fn model_stats(&self) -> Vec<ModelStats> {
-        merge_model_stats(
-            self.broadcast(|_| QueryBody::ModelStats)
-                .into_iter()
-                .map(|b| match b {
-                    ReplyBody::Models(m) => m,
-                    _ => unreachable!("model-stats reply shape"),
-                }),
-        )
+        merge_model_stats(self.ask_all(|sh| sh.model_stats()))
     }
 
     /// Per-job per-model counters summed across shards, ascending by
     /// job (the per-model analogue of [`EngineClient::job_metrics`]).
     pub fn job_model_stats(&self) -> Vec<(JobId, Vec<ModelStats>)> {
-        merge_job_model_rollups(
-            self.broadcast(|_| QueryBody::JobModelStats)
-                .into_iter()
-                .map(|b| match b {
-                    ReplyBody::JobModels(j) => j,
-                    _ => unreachable!("job-model-stats reply shape"),
-                })
-                .collect(),
-        )
+        merge_job_model_rollups(self.ask_all(|sh| sh.job_model_stats()))
     }
 
     /// Sweeps every shard now, returning how many expired streams were
     /// reclaimed (workers sweep their own shard after each batch they
-    /// receive; this also reaches idle shards).
+    /// receive; this also reaches idle shards). The registry's current
+    /// per-job clocks are folded into every shard's watermarks first,
+    /// so streams of jobs whose traffic no longer reaches a shard
+    /// still age there.
     pub fn sweep_expired(&self) -> usize {
         let now = self.inner.clock.load(Ordering::Relaxed);
         let job_nows: Vec<(JobId, u64)> = self
@@ -1951,16 +1680,13 @@ impl EngineClient {
             .iter()
             .map(|(&job, clock)| (job, clock.load(Ordering::Relaxed)))
             .collect();
-        self.broadcast(|_| QueryBody::Sweep {
-            now,
-            job_nows: job_nows.clone(),
-        })
-        .into_iter()
-        .map(|b| match b {
-            ReplyBody::Evicted(n) => n,
-            _ => unreachable!("sweep reply shape"),
-        })
-        .sum()
+        let swept = self.ask_all(move |sh| {
+            for &(job, jnow) in &job_nows {
+                sh.fold_job_now(job, jnow);
+            }
+            sh.sweep_expired(now)
+        });
+        swept.into_iter().sum()
     }
 
     /// Forcibly evicts the `n` least-recently-observed streams across
@@ -1968,14 +1694,7 @@ impl EngineClient {
     /// TTL unset the order is batch-granular — see the module docs),
     /// returning how many were removed.
     pub fn evict_lru(&self, n: usize) -> usize {
-        let candidates: Vec<(u64, StreamKey)> = self
-            .broadcast(|_| QueryBody::LruOldest { n })
-            .into_iter()
-            .flat_map(|b| match b {
-                ReplyBody::Oldest(o) => o,
-                _ => unreachable!("lru reply shape"),
-            })
-            .collect();
+        let candidates = self.ask_all(move |sh| sh.lru_oldest(n)).concat();
         let mut removed = 0;
         for (_, key) in crate::shard::select_lru_victims(candidates, n) {
             if self.evict_stream(key) {
@@ -1994,14 +1713,7 @@ impl EngineClient {
     /// clients first when an exact cut matters (the migration path
     /// does).
     pub fn snapshot(&self) -> Vec<u8> {
-        let shard_states = self
-            .broadcast(|_| QueryBody::Snapshot)
-            .into_iter()
-            .map(|b| match b {
-                ReplyBody::State(st) => *st,
-                _ => unreachable!("snapshot reply shape"),
-            })
-            .collect();
+        let shard_states = self.ask_all(|sh| sh.export_state());
         let mut job_clocks: Vec<(JobId, u64)> = self
             .inner
             .job_clocks
@@ -2057,23 +1769,13 @@ impl EngineClient {
         let mut models: Vec<ModelStats> = Vec::new();
         let mut clock = self.job_now(job);
         let mut streams = Vec::new();
-        for b in self.broadcast(|_| QueryBody::SnapshotJob { job }) {
-            match b {
-                ReplyBody::JobSlice {
-                    metrics: jm,
-                    models: ms,
-                    watermark,
-                    streams: ss,
-                } => {
-                    if let Some(jm) = jm {
-                        metrics.merge(&jm);
-                    }
-                    models = merge_model_stats([models, ms]);
-                    clock = clock.max(watermark);
-                    streams.extend(ss);
-                }
-                _ => unreachable!("snapshot-job reply shape"),
+        for (jm, ms, watermark, ss) in self.ask_all(move |sh| sh.export_job_state(job)) {
+            if let Some(jm) = jm {
+                metrics.merge(&jm);
             }
+            models = merge_model_stats([models, ms]);
+            clock = clock.max(watermark);
+            streams.extend(ss);
         }
         streams.sort_unstable_by_key(|s| (s.last_seen, s.key.rank, s.key.kind.index()));
         encode_job(&JobSnapshot {
@@ -2097,7 +1799,7 @@ impl EngineClient {
     /// ([`SnapshotError::Malformed`] otherwise).
     pub fn restore_job(&self, bytes: &[u8]) -> Result<(JobId, usize), SnapshotError> {
         let snap = decode_job_for(bytes, &self.inner.cfg)?;
-        let job = snap.job;
+        let (job, watermark) = (snap.job, snap.clock);
         let nshards = self.inner.senders.len();
         let mut legs: Vec<Vec<StreamState>> = vec![Vec::new(); nshards];
         let mut max_seen = 0u64;
@@ -2106,22 +1808,25 @@ impl EngineClient {
             legs[shard_of(job, s.key.rank, nshards)].push(s.clone());
         }
         let installed = snap.streams.len();
-        let mut legs: Vec<Option<Vec<StreamState>>> = legs.into_iter().map(Some).collect();
-        self.broadcast(|s| QueryBody::RestoreJob {
-            job,
-            streams: legs[s].take().expect("one leg per shard"),
-            // The job's historical counters live on exactly one shard
-            // (0): replicating them would multiply federation rollups.
-            history: (s == 0).then(|| Box::new(snap.metrics)),
-            models: if s == 0 {
-                snap.models.clone()
-            } else {
-                Vec::new()
-            },
-            watermark: snap.clock,
-        });
+        // The job's historical counters live on exactly one shard (0):
+        // replicating them would multiply federation rollups.
+        let mut history = Some((snap.metrics, snap.models));
+        self.ask(legs.into_iter().enumerate().map(|(s, streams)| {
+            let history = history.take();
+            (s, move |sh: &mut Shard| {
+                // Re-home the job: whatever the shard held of it goes.
+                sh.extract_job(job);
+                if !streams.is_empty() {
+                    sh.restore_job_streams(job, &streams, watermark);
+                }
+                if let Some((metrics, models)) = history {
+                    sh.restore_job_history(job, &metrics, &models);
+                    sh.fold_job_now(job, watermark);
+                }
+            })
+        }));
         if self.inner.cfg.ttl.is_some() {
-            self.job_clock(job).fetch_max(snap.clock, Ordering::Relaxed);
+            self.job_clock(job).fetch_max(watermark, Ordering::Relaxed);
         } else {
             // Keep global stamping monotone past the imported recency
             // stamps so LRU touch stays on its O(1) fast path.
@@ -2139,12 +1844,8 @@ impl EngineClient {
     /// append-only); a job returning to this engine resumes from its
     /// old clock, which is monotone and therefore safe.
     pub fn extract_job(&self, job: JobId) -> usize {
-        self.broadcast(|_| QueryBody::ExtractJob { job })
+        self.ask_all(move |sh| sh.extract_job(job))
             .into_iter()
-            .map(|b| match b {
-                ReplyBody::Evicted(n) => n,
-                _ => unreachable!("extract reply shape"),
-            })
             .sum()
     }
 
@@ -2157,7 +1858,7 @@ impl EngineClient {
     /// *inside* an observe call may land legs after the barrier; only
     /// completed submissions are covered.
     pub fn drain(&self) {
-        self.broadcast(|_| QueryBody::Drain);
+        self.ask_all(|_| ());
     }
 }
 
@@ -2165,6 +1866,7 @@ impl EngineClient {
 mod tests {
     use super::*;
     use crate::types::StreamKind;
+    use std::panic::AssertUnwindSafe;
 
     fn skey(rank: u32) -> StreamKey {
         StreamKey::new(rank, StreamKind::Sender)
@@ -2679,6 +2381,51 @@ mod tests {
         assert!(client
             .try_observe_batch(&[Observation::new(skey(healthy), 1)])
             .is_ok());
+    }
+
+    /// A rank whose streams live on `shard`.
+    fn rank_on(eng: &PersistentEngine, shard: usize) -> u32 {
+        (0..64)
+            .find(|&r| eng.shard_for(r) == shard)
+            .expect("a rank on every shard")
+    }
+
+    #[test]
+    fn slow_healthy_shard_answers_while_a_sibling_worker_is_dead() {
+        let eng = engine(2);
+        let client = eng.client();
+        let r1 = rank_on(&eng, 1);
+        for i in 0..20u64 {
+            client.observe(skey(r1), i % 2);
+        }
+        eng.debug_kill_worker(0, true);
+        // The answer takes several liveness polls, each of which finds
+        // shard 0's worker finished; only the asked shard counts.
+        eng.debug_throttle_worker(1, Duration::from_millis(400));
+        assert_eq!(client.period_of(skey(r1)), Some(2));
+    }
+
+    #[test]
+    fn a_reply_left_by_an_aborted_query_is_not_handed_to_the_next() {
+        let eng = engine(2);
+        let client = eng.client();
+        let r0 = rank_on(&eng, 0);
+        for i in 0..20u64 {
+            client.observe(skey(r0), i % 3);
+        }
+        // Shard 0 takes the job-metrics query and answers late; shard
+        // 1's closed lane aborts the collection first.
+        eng.debug_throttle_worker(0, Duration::from_millis(100));
+        eng.debug_kill_worker(1, true);
+        let aborted = std::panic::catch_unwind(AssertUnwindSafe(|| client.job_metrics()))
+            .expect_err("a dead shard fails the broadcast");
+        assert_eq!(
+            aborted.downcast_ref::<String>(),
+            Some(&WorkerGone { shard: 1 }.to_string())
+        );
+        eng.debug_throttle_worker(0, Duration::ZERO);
+        // Shard 0's stale job-metrics reply reaches the lane first.
+        assert_eq!(client.period_of(skey(r0)), Some(3));
     }
 
     #[test]

@@ -266,9 +266,10 @@ fn dead_worker_fails_loudly_on_every_path_instead_of_hanging() {
         .map(|s| (*s).to_string())
         .or_else(|| panicked.downcast_ref::<String>().cloned())
         .unwrap_or_default();
-    assert!(
-        msg.contains("died") || msg.contains("gone"),
-        "unclear orphaned-query panic: {msg:?}"
+    assert_eq!(
+        msg,
+        WorkerGone { shard: 0 }.to_string(),
+        "an orphaned query names its shard"
     );
     assert!(started.elapsed() < Duration::from_secs(5), "prompt failure");
 

@@ -166,7 +166,7 @@ proptest! {
         }
         // Nothing was lost or double-counted across members.
         prop_assert_eq!(
-            fed.metrics_total().events_ingested,
+            client.metrics_total().events_ingested,
             events.len() as u64
         );
     }
@@ -278,8 +278,8 @@ proptest! {
             "migration changed a job rollup"
         );
         prop_assert_eq!(
-            control.metrics_total().events_ingested,
-            trial.metrics_total().events_ingested
+            ctl.metrics_total().events_ingested,
+            tri.metrics_total().events_ingested
         );
     }
 }
@@ -446,14 +446,15 @@ fn flushed_events_survive_migration_under_concurrent_other_job_ingest() {
     noise.join().expect("noise thread");
 
     assert_eq!(fed.member_of(job), to);
+    let client = fed.client();
     assert_eq!(
-        fed.job_metrics_of(job).events_ingested,
+        client.job_metrics_of(job).events_ingested,
         EVENTS,
         "every submitted-and-returned event survived the cut"
     );
     for j in noisy {
         assert!(
-            fed.job_metrics_of(j).events_ingested > 0,
+            client.job_metrics_of(j).events_ingested > 0,
             "concurrent ingest to other jobs kept flowing"
         );
     }
@@ -541,8 +542,8 @@ proptest! {
             "rebalancing changed a job rollup"
         );
         prop_assert_eq!(
-            control.metrics_total().events_ingested,
-            trial.metrics_total().events_ingested
+            ctl.metrics_total().events_ingested,
+            tri.metrics_total().events_ingested
         );
     }
 }
@@ -609,7 +610,7 @@ fn evicting_and_flooding_one_job_never_changes_another() {
     client.observe_batch(&flood);
     fed.pin_job(A, (fed.member_of(A) + 1) % 2); // strand state, retrain
     client.observe_batch(&flood);
-    assert!(fed.evict_job(A) > 0, "flooded job had resident streams");
+    assert!(client.evict_job(A) > 0, "flooded job had resident streams");
     client.sweep_expired();
 
     // B is untouched: predictions, periods, confidence, rollup.
@@ -624,8 +625,8 @@ fn evicting_and_flooding_one_job_never_changes_another() {
         after_roll.evicted, 0,
         "evicting A must not evict any of B's streams"
     );
-    assert!(fed.resident_jobs().contains(&B));
-    assert!(!fed.resident_jobs().contains(&A), "A fully reclaimed");
+    assert!(client.resident_jobs().contains(&B));
+    assert!(!client.resident_jobs().contains(&A), "A fully reclaimed");
 }
 
 /// Chaos: a shard worker killed inside one member mid-run surfaces
@@ -752,7 +753,7 @@ fn quiesce_job_is_idempotent_and_reports_residency() {
     let second = fed.quiesce_job(job);
     assert_eq!(second, first, "double drain is a no-op");
     assert_eq!(
-        fed.job_metrics_of(job).events_ingested,
+        client.job_metrics_of(job).events_ingested,
         20,
         "quiescing twice ingests nothing new"
     );
@@ -764,7 +765,7 @@ fn quiesce_job_is_idempotent_and_reports_residency() {
 
     // Unknown job: drains the hash-routed member, reports no residency.
     let unknown = (0..64u32)
-        .find(|&j| !fed.resident_jobs().contains(&j))
+        .find(|&j| !client.resident_jobs().contains(&j))
         .expect("an unseen job id");
     let report = fed.quiesce_job(unknown);
     assert_eq!(report.job, unknown);
@@ -777,6 +778,6 @@ fn quiesce_job_is_idempotent_and_reports_residency() {
     );
 
     // A quiesced-then-evicted job reports non-resident afterwards.
-    fed.evict_job(job);
+    client.evict_job(job);
     assert!(!fed.quiesce_job(job).resident, "evicted state is gone");
 }

@@ -81,8 +81,9 @@ fn telemetry_disabled_is_none_everywhere_and_costs_no_snapshot() {
     client.observe_batch(&pattern_batch(4, 10));
     assert!(client.telemetry().is_none());
     let fed = FederatedEngine::new(FederationConfig::new(2, 1));
-    fed.client().observe_batch(&pattern_batch(4, 10));
-    assert!(fed.telemetry().is_none());
+    let fclient = fed.client();
+    fclient.observe_batch(&pattern_batch(4, 10));
+    assert!(fclient.telemetry().is_none());
 }
 
 /// Sharding is a throughput device, never a telemetry device: the
@@ -291,7 +292,7 @@ fn federation_telemetry_merges_members_with_attribution() {
     let snap = client.telemetry().expect("all members enabled");
     assert_eq!(
         snap.counter("events_ingested"),
-        Some(fed.metrics_total().events_ingested)
+        Some(client.metrics_total().events_ingested)
     );
     assert_quantiles_monotone(&snap, "route_observe_ns");
     let routes = snap.histogram("route_observe_ns").unwrap();
@@ -320,7 +321,9 @@ fn federation_chaos_kill_attributes_job_and_member() {
         .unwrap_err();
     assert_eq!(err.member, 0);
     assert_eq!(err.job, job0);
-    let snap = fed.telemetry().expect("tolerant of a dead member worker");
+    let snap = client
+        .telemetry()
+        .expect("tolerant of a dead member worker");
     let gone: Vec<_> = snap
         .flight()
         .iter()
@@ -343,7 +346,7 @@ fn job_migration_reaches_the_federation_flight_log() {
     client.observe_batch(&batch);
     let moved = fed.migrate_job(job, 0, 1).expect("migration");
     assert_eq!(moved, 3, "three streams moved");
-    let snap = fed.telemetry().expect("enabled");
+    let snap = client.telemetry().expect("enabled");
     let migrations: Vec<_> = snap
         .flight()
         .iter()

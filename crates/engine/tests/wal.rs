@@ -414,7 +414,7 @@ fn federated_recovery_preserves_pins_and_member_state() {
     for chunk in events[600..].chunks(BATCH) {
         fc.observe_batch(chunk);
     }
-    let before_jobs = fed.job_metrics();
+    let before_jobs = fc.job_metrics();
     let key = StreamKey::for_job(1, 0, StreamKind::Sender);
     let before_pred = fc.predict(key, 1);
     drop(fc);
@@ -429,8 +429,10 @@ fn federated_recovery_preserves_pins_and_member_state() {
         events.len() as u64,
         "both members recovered their full streams"
     );
-    assert_eq!(fed.job_metrics(), before_jobs);
-    assert_eq!(fed.client().predict(key, 1), before_pred);
+    let fc = fed.client();
+    assert_eq!(fc.job_metrics(), before_jobs);
+    assert_eq!(fc.predict(key, 1), before_pred);
+    drop(fc);
     // The recovered federation keeps serving and migrating.
     fed.migrate_job(1, to, from).expect("migrate back");
     assert_eq!(fed.member_of(1), from);

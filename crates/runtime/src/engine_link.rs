@@ -536,7 +536,7 @@ mod tests {
             "the default job never saw traffic"
         );
         // Evicting job 1 leaves job 2 serving.
-        assert_eq!(handle.federation().evict_job(1), 3);
+        assert_eq!(handle.client().evict_job(1), 3);
         assert_eq!(handle.client().resident_jobs(), vec![2]);
         assert_eq!(
             handle
