@@ -293,7 +293,7 @@ fn measure_ttl_churn(batch: &[Observation], tb: usize) -> f64 {
     let ttl = (batch.len() / 8).max(1) as u64;
     let mut shard = Shard::with_ttl(DpdConfig::default(), Some(ttl));
     let mut clock = 0;
-    shard_leg(&mut shard, batch, &mut clock); // warm the slab and pools
+    shard_leg(&mut shard, batch, &mut clock); // warm the slab and interners
     best_batch_rate(
         batch.len(),
         (0..tb).map(|_| {

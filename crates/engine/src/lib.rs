@@ -34,12 +34,12 @@
 //!    forecasts without allocating (`tests/alloc.rs`): predictors reuse
 //!    their fixed [`Ring`](mpp_core::ring::Ring) buffers and forecast
 //!    output lands in caller-provided, capacity-reused vectors. The
-//!    persistent engine recycles its cross-thread leg buffers through a
-//!    return channel. A query allocates its boxed closure and its boxed
-//!    result — re-plan-rate, not event-rate — and forecast output
-//!    travels to the shard and back in the caller's vector. Client leg
-//!    pools are bounded (entry count and per-buffer capacity), so a
-//!    one-off burst cannot pin its peak footprint forever.
+//!    persistent engine allocates each cross-thread batch leg once, at
+//!    its exact size, and the worker that applies it frees it, so no
+//!    buffer outlives the batch (`tests/client_heap.rs`). A query
+//!    allocates its boxed closure and its boxed result — re-plan-rate,
+//!    not event-rate — and forecast output travels to the shard and
+//!    back in the caller's vector.
 //! 4. **Deterministic backpressure.** With
 //!    [`EngineConfig::observe_queue_cap`] set, each persistent shard's
 //!    command lane is bounded; a full lane either blocks the submitter

@@ -379,12 +379,7 @@ fn decode_payload(payload: &[u8]) -> Option<WalFrame> {
     for rec in body.chunks_exact(OBS_LEN) {
         let job = u32::from_le_bytes(rec[0..4].try_into().unwrap());
         let rank = u32::from_le_bytes(rec[4..8].try_into().unwrap());
-        let kind = match rec[8] {
-            0 => StreamKind::Sender,
-            1 => StreamKind::Size,
-            2 => StreamKind::Tag,
-            _ => return None,
-        };
+        let kind = *StreamKind::ALL.get(usize::from(rec[8]))?;
         let value = u64::from_le_bytes(rec[9..17].try_into().unwrap());
         obs.push(Observation::new(StreamKey::for_job(job, rank, kind), value));
     }
@@ -1052,5 +1047,43 @@ mod tests {
         assert!(WalError::from(io::Error::other("disk gone"))
             .to_string()
             .contains("disk gone"));
+    }
+    /// A frame whose checksum holds but whose stream-kind byte is past
+    /// the kinds there are stops the scan with a torn frame at its own
+    /// offset; the frames before it survive.
+    #[test]
+    fn out_of_range_kind_byte_is_a_torn_frame_at_its_offset() {
+        let dir = tmpdir("kind");
+        let mut w = WalWriter::open(DurabilityConfig::new(&dir)).unwrap();
+        w.append(0, &batch(0, 4)).unwrap();
+        w.append(4, &batch(4, 4)).unwrap();
+        drop(w);
+        let seg = segment_files(&dir).unwrap().remove(0);
+        let mut bytes = fs::read(&seg.path).unwrap();
+        let mut first = Vec::new();
+        encode_frame(&mut first, 0, &batch(0, 4));
+        let at = WAL_HEADER_LEN as usize + first.len();
+        // The second frame's third event: its kind byte follows the
+        // job and rank words.
+        let payload = at + 4..at + 4 + FRAME_PREFIX_LEN + 4 * OBS_LEN;
+        bytes[payload.start + FRAME_PREFIX_LEN + 2 * OBS_LEN + 8] = StreamKind::ALL.len() as u8;
+        let sum = fnv1a(&bytes[payload.clone()]);
+        bytes[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&seg.path, &bytes).unwrap();
+        let scan = scan_segment(&seg.path).unwrap();
+        assert_eq!(
+            scan.frames,
+            vec![WalFrame {
+                base: 0,
+                obs: batch(0, 4)
+            }]
+        );
+        assert_eq!(scan.valid_len, at as u64);
+        assert!(
+            matches!(&scan.error, Some(WalError::TornFrame { offset, .. }) if *offset == at as u64),
+            "{:?}",
+            scan.error
+        );
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -26,14 +26,11 @@
 //!   writes: a query submitted after an observe of the same rank sees
 //!   that observe. Different clients' commands interleave arbitrarily —
 //!   exactly the guarantee (and non-guarantee) the old mutex gave.
-//! * **Zero-ish allocation.** Batch legs travel in `Vec`s recycled
-//!   back to the submitting client through a return channel, so the
-//!   steady state reuses buffers instead of allocating per batch. A
-//!   buffer returns to the pool slot of the shard it served, and each
-//!   reply drains the return channel, so once every shard has answered
-//!   a query the client holds one buffer per shard, the largest that
-//!   shard's legs came back in: its footprint at a quiet point follows
-//!   from the batches it sent, not from how far the workers lagged.
+//! * **One allocation per leg.** `observe_batch` counts each shard's
+//!   share of the batch first, then allocates every leg once, at
+//!   exactly that size; the worker that applies a leg frees it. A
+//!   client keeps no event buffer between calls, so its footprint does
+//!   not depend on the batches it sent or on how far the workers lag.
 //! * **Eviction.** With [`EngineConfig::ttl`] set, legs carry per-event
 //!   stamps drawn from **per-job atomic clocks** in a shared registry: a
 //!   batch reserves one contiguous stamp range per job it touches (one
@@ -299,14 +296,6 @@ impl LaneStats {
     }
 }
 
-/// Per-buffer retention bound for the client leg pool, in events
-/// (plain legs: 24 B/event, stamped: 32 B/event, so ≤ 2 MiB per
-/// pooled buffer). A recycled buffer grown past this is dropped rather
-/// than pooled; together with the pool's one slot per shard this
-/// bounds a client's steady-state pool memory no matter how large a
-/// burst it once submitted.
-const POOL_MAX_EVENT_CAP: usize = 1 << 16;
-
 /// An observe leg: either raw events (no TTL: stamps are not needed
 /// per-event) or events stamped with their engine-time index.
 enum Leg {
@@ -320,14 +309,6 @@ impl Leg {
         match self {
             Leg::Plain(events) => events.len(),
             Leg::Stamped(events) => events.len(),
-        }
-    }
-
-    /// Events the leg's buffer holds without growing.
-    fn capacity(&self) -> usize {
-        match self {
-            Leg::Plain(events) => events.capacity(),
-            Leg::Stamped(events) => events.capacity(),
         }
     }
 
@@ -350,15 +331,13 @@ type ShardFn = Box<dyn FnOnce(&mut Shard) -> Box<dyn Any + Send> + Send>;
 /// One command in a shard worker's queue.
 enum ShardCmd {
     /// Fire-and-forget batch leg. `now` is engine time after the whole
-    /// batch; the emptied buffer is handed back through `recycle`,
-    /// tagged with the worker's shard.
+    /// batch; the worker frees the leg once it has applied it.
     /// `sent_at` is set only when telemetry is enabled: the worker turns
     /// it into the leg's `queue_wait_ns` sample on drain (submit→drain,
     /// so a `Block`-mode park on a full lane is included in the wait).
     Observe {
         leg: Leg,
         now: u64,
-        recycle: Sender<(usize, Leg)>,
         sent_at: Option<Instant>,
     },
     /// Synchronous request: the worker runs `run` on its shard and
@@ -410,16 +389,11 @@ impl EngineTelemetry {
     }
 }
 
-/// Retained buffer bound for the WAL copy-buffer recycle lane: the
-/// log thread hands at most this many emptied buffers back for
-/// clients to reuse (beyond it they are simply dropped).
-const WAL_POOL_MAX_BUFFERS: usize = 32;
-
 /// One unit of work for the dedicated log-writer thread.
 enum WalMsg {
     /// Append a frame: `obs` is a private copy of one submitted batch,
     /// stamped `[base, base + obs.len())` on the global clock. The
-    /// emptied buffer is recycled through the WAL buffer lane.
+    /// writer frees the copy once it is appended.
     Frame { base: u64, obs: Vec<Observation> },
     /// Force pending frames to stable storage, then acknowledge — the
     /// barrier behind [`PersistentEngine::sync_wal`].
@@ -450,48 +424,34 @@ struct WalCounters {
 struct WalState {
     /// Frame lane into the writer thread.
     tx: Sender<WalMsg>,
-    /// Emptied copy-buffers coming back from the writer thread;
-    /// clients `try_recv` one before falling back to allocation.
-    buf_rx: Receiver<Vec<Observation>>,
     counters: Arc<WalCounters>,
 }
 
-/// The dedicated log-writer loop: drains frames off the observe path,
-/// appends them through [`WalWriter`] (rotation + flush policy), and
-/// recycles the copy buffers. Exits when every sender is gone,
-/// flushing whatever is pending first.
-fn wal_writer_loop(
-    mut writer: WalWriter,
-    rx: Receiver<WalMsg>,
-    buf_tx: Sender<Vec<Observation>>,
-    counters: Arc<WalCounters>,
-) {
+/// The dedicated log-writer loop: drains frames off the observe path
+/// and appends them through [`WalWriter`] (rotation + flush policy).
+/// Exits when every sender is gone, flushing whatever is pending
+/// first.
+fn wal_writer_loop(mut writer: WalWriter, rx: Receiver<WalMsg>, counters: Arc<WalCounters>) {
     let mut reported = false;
     while let Ok(msg) = rx.recv() {
         match msg {
-            WalMsg::Frame { base, mut obs } => {
-                match writer.append(base, &obs) {
-                    Ok(stats) => {
-                        counters.frames.fetch_add(1, Ordering::Relaxed);
-                        counters.bytes.fetch_add(stats.bytes, Ordering::Relaxed);
-                        if stats.synced {
-                            counters.fsyncs.fetch_add(1, Ordering::Relaxed);
-                            counters.flush_ns.record(stats.sync_ns);
-                        }
-                    }
-                    Err(e) => {
-                        counters.io_errors.fetch_add(1, Ordering::Relaxed);
-                        if !reported {
-                            eprintln!("mpp-engine WAL append failed (log has a hole): {e}");
-                            reported = true;
-                        }
+            WalMsg::Frame { base, obs } => match writer.append(base, &obs) {
+                Ok(stats) => {
+                    counters.frames.fetch_add(1, Ordering::Relaxed);
+                    counters.bytes.fetch_add(stats.bytes, Ordering::Relaxed);
+                    if stats.synced {
+                        counters.fsyncs.fetch_add(1, Ordering::Relaxed);
+                        counters.flush_ns.record(stats.sync_ns);
                     }
                 }
-                obs.clear();
-                if obs.capacity() <= POOL_MAX_EVENT_CAP && buf_tx.len() < WAL_POOL_MAX_BUFFERS {
-                    let _ = buf_tx.send(obs);
+                Err(e) => {
+                    counters.io_errors.fetch_add(1, Ordering::Relaxed);
+                    if !reported {
+                        eprintln!("mpp-engine WAL append failed (log has a hole): {e}");
+                        reported = true;
+                    }
                 }
-            }
+            },
             WalMsg::Sync(ack) => {
                 match writer.sync() {
                     Ok(Some(ns)) => {
@@ -589,34 +549,23 @@ fn worker_loop(
             // Dropping `rx` mid-queue is exactly what a worker panic
             // does; clients must then error loudly, never hang.
             ShardCmd::Exit => break 'serve,
-            ShardCmd::Observe {
-                leg,
-                now,
-                recycle,
-                sent_at,
-            } => {
+            ShardCmd::Observe { leg, now, sent_at } => {
                 if let (Some(sent), Some(tel)) = (sent_at, shard.telemetry()) {
                     tel.queue_wait_ns.record(sent.elapsed().as_nanos() as u64);
                 }
-                let empty = match leg {
-                    Leg::Plain(mut events) => {
-                        // Without a TTL per-event stamps are
-                        // unobservable; batch-end granularity keeps the
-                        // LRU order usable for forced eviction.
-                        shard.observe_leg(events.drain(..).map(|obs| (obs, now)));
-                        Leg::Plain(events)
+                // The leg's buffer is consumed, and freed once applied.
+                match leg {
+                    // Without a TTL per-event stamps are unobservable;
+                    // batch-end granularity keeps the LRU order usable
+                    // for forced eviction.
+                    Leg::Plain(events) => {
+                        shard.observe_leg(events.into_iter().map(|obs| (obs, now)))
                     }
-                    Leg::Stamped(mut events) => {
-                        shard.observe_leg(events.drain(..));
-                        Leg::Stamped(events)
-                    }
-                };
+                    Leg::Stamped(events) => shard.observe_leg(events.into_iter()),
+                }
                 if shard.ttl().is_some() {
                     shard.maybe_sweep(now);
                 }
-                // The submitting client may already be gone; its buffer
-                // is then simply dropped.
-                let _ = recycle.send((shard_id as usize, empty));
             }
             ShardCmd::Query { epoch, reply, run } => {
                 let result = run(&mut shard);
@@ -702,21 +651,13 @@ impl PersistentEngine {
                 let writer = WalWriter::open(d.clone())
                     .unwrap_or_else(|e| panic!("cannot open WAL in {}: {e}", d.dir.display()));
                 let (tx, rx) = unbounded();
-                let (buf_tx, buf_rx) = unbounded();
                 let counters = Arc::new(WalCounters::default());
                 let thread_counters = Arc::clone(&counters);
                 let handle = std::thread::Builder::new()
                     .name("mpp-wal-writer".into())
-                    .spawn(move || wal_writer_loop(writer, rx, buf_tx, thread_counters))
+                    .spawn(move || wal_writer_loop(writer, rx, thread_counters))
                     .unwrap_or_else(|e| panic!("cannot spawn WAL writer thread: {e}"));
-                (
-                    Some(WalState {
-                        tx,
-                        buf_rx,
-                        counters,
-                    }),
-                    Some(handle),
-                )
+                (Some(WalState { tx, counters }), Some(handle))
             }
             None => (None, None),
         };
@@ -992,19 +933,16 @@ impl PersistentEngine {
         Ok((eng, report))
     }
 
-    /// Creates a client: a private, buffered lane into the engine. One
-    /// per thread; creation is cheap (two channels).
+    /// Creates a client: a private lane into the engine. One per
+    /// thread; creation is cheap (one reply channel).
     pub fn client(&self) -> EngineClient {
         let (reply_tx, reply_rx) = unbounded();
-        let (recycle_tx, recycle_rx) = unbounded();
         EngineClient {
             inner: Arc::clone(&self.inner),
             reply_tx,
             reply_rx,
-            recycle_tx,
-            recycle_rx,
             epoch: Cell::new(0),
-            leg_pool: RefCell::new((0..self.inner.senders.len()).map(|_| None).collect()),
+            leg_sizes: RefCell::new(Vec::new()),
             legs_scratch: RefCell::new(Vec::new()),
             job_clock_cache: RefCell::new(FxHashMap::default()),
             stamp_cursors: RefCell::new(Vec::new()),
@@ -1013,22 +951,20 @@ impl PersistentEngine {
 }
 
 /// A per-thread client of a [`PersistentEngine`]: owns a private reply
-/// lane and buffer pool. `Send` but intentionally not `Sync` — clone
-/// the engine handle and make one client per thread instead of sharing.
+/// lane. `Send` but intentionally not `Sync` — clone the engine handle
+/// and make one client per thread instead of sharing.
 pub struct EngineClient {
     inner: Arc<Inner>,
     reply_tx: Sender<Reply>,
     reply_rx: Receiver<Reply>,
-    recycle_tx: Sender<(usize, Leg)>,
-    recycle_rx: Receiver<(usize, Leg)>,
     /// Stamp of the most recent request on this lane.
     epoch: Cell<u64>,
-    /// One idle leg buffer per shard, indexed by shard: the largest
-    /// buffer that shard's legs have come back in (see
-    /// [`EngineClient::keep_larger`]).
-    leg_pool: RefCell<Vec<Option<Leg>>>,
-    /// Per-shard partition scratch reused across `observe_batch` calls
-    /// (entries are `take`n when sent, leaving `None`s behind).
+    /// Per-shard event counts of the batch being partitioned, reused
+    /// across `observe_batch` calls.
+    leg_sizes: RefCell<Vec<usize>>,
+    /// Per-shard legs of the batch being partitioned, reused across
+    /// `observe_batch` calls (entries are `take`n when sent, so no
+    /// event buffer outlives the call).
     legs_scratch: RefCell<Vec<Option<Leg>>>,
     /// Private cache of the registry's per-job clock `Arc`s so the
     /// ingest hot path allocates stamps without taking the registry
@@ -1113,54 +1049,6 @@ impl EngineClient {
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
-    /// Puts a finished leg's buffer in a shard's pool slot, enforcing
-    /// the memory bounds: the slot keeps one buffer, the larger of the
-    /// two, and never one grown past [`POOL_MAX_EVENT_CAP`] events — a
-    /// burst of giant batches is released to the allocator instead of
-    /// pinning peak memory in the pool forever. Keeping the larger
-    /// buffer means the slot ends up fitting the largest leg its shard
-    /// has had, whichever buffer happened to carry it.
-    fn keep_larger(slot: &mut Option<Leg>, leg: Leg) {
-        if leg.capacity() > POOL_MAX_EVENT_CAP {
-            return;
-        }
-        if slot
-            .as_ref()
-            .is_none_or(|kept| kept.capacity() < leg.capacity())
-        {
-            *slot = Some(leg);
-        }
-    }
-
-    /// Hands a finished leg of shard `s` back to that shard's slot.
-    fn repool(&self, s: usize, leg: Leg) {
-        Self::keep_larger(&mut self.leg_pool.borrow_mut()[s], leg);
-    }
-
-    /// Returns recycled buffers to the (bounded) pool.
-    fn drain_recycled(&self) {
-        while let Ok((s, leg)) = self.recycle_rx.try_recv() {
-            self.repool(s, leg);
-        }
-    }
-
-    /// An empty leg for shard `s`, in the pooled buffer when the slot
-    /// holds one of the right kind.
-    fn empty_leg(&self, s: usize, stamped: bool) -> Leg {
-        match (self.leg_pool.borrow_mut()[s].take(), stamped) {
-            (Some(Leg::Plain(mut buf)), false) => {
-                buf.clear();
-                Leg::Plain(buf)
-            }
-            (Some(Leg::Stamped(mut buf)), true) => {
-                buf.clear();
-                Leg::Stamped(buf)
-            }
-            (_, false) => Leg::Plain(Vec::new()),
-            (_, true) => Leg::Stamped(Vec::new()),
-        }
-    }
-
     /// Records a worker-gone sighting in the client-side flight ring
     /// (the dead worker can no longer record anything itself).
     fn note_worker_gone(&self, s: usize, events: u64, job: JobId, at: u64) {
@@ -1179,8 +1067,8 @@ impl EngineClient {
 
     /// Sends one observe leg to shard `s`, applying the backpressure
     /// policy when the lane is bounded and full. `Ok(true)` means the
-    /// leg was enqueued, `Ok(false)` that it was shed (counted, buffer
-    /// repooled).
+    /// leg was enqueued, `Ok(false)` that it was shed (counted and
+    /// dropped).
     fn send_leg(&self, s: usize, leg: Leg, now: u64) -> Result<bool, WorkerGone> {
         let tx = &self.inner.senders[s];
         let lane = &self.inner.lanes[s];
@@ -1189,7 +1077,6 @@ impl EngineClient {
         let cmd = ShardCmd::Observe {
             leg,
             now,
-            recycle: self.recycle_tx.clone(),
             sent_at: self.inner.telemetry.as_ref().map(|_| Instant::now()),
         };
         let cmd = match tx.try_send(cmd) {
@@ -1243,10 +1130,6 @@ impl EngineClient {
                         b: 0,
                     });
                 }
-                let ShardCmd::Observe { leg, .. } = cmd else {
-                    unreachable!("shed command is the observe we built")
-                };
-                self.repool(s, leg);
                 Ok(false)
             }
         }
@@ -1281,48 +1164,59 @@ impl EngineClient {
         let now = base + batch.len() as u64;
         if log {
             if let Some(wal) = self.inner.wal.as_ref() {
-                // One copy of the batch, into a buffer recycled from
-                // the writer thread, handed off the hot path; the
-                // writer owns framing, rotation, and fsync cadence.
-                let mut buf = wal.buf_rx.try_recv().unwrap_or_default();
-                buf.clear();
-                buf.extend_from_slice(batch);
-                let _ = wal.tx.send(WalMsg::Frame { base, obs: buf });
+                // One copy of the batch, handed off the hot path; the
+                // writer owns framing, rotation, and fsync cadence, and
+                // frees the copy once it is appended.
+                let obs = batch.to_vec();
+                let _ = wal.tx.send(WalMsg::Frame { base, obs });
             }
         }
-        self.drain_recycled();
         let stamped = self.inner.cfg.ttl.is_some();
-        // Per-job stamp allocation: count each job's events, reserve one
-        // contiguous stamp range per job from its registry clock (a
-        // single `fetch_add` each), then hand the stamps out in batch
-        // order — concurrent clients get disjoint ranges, and a job's
-        // clock only ever advances under its own traffic.
+        // Counting pass: each shard's leg size and, under a TTL, each
+        // job's event count.
+        let mut sizes = self.leg_sizes.borrow_mut();
+        sizes.clear();
+        sizes.resize(nshards, 0);
         let mut cursors = self.stamp_cursors.borrow_mut();
         cursors.clear();
-        if stamped {
-            for obs in batch {
+        for obs in batch {
+            sizes[shard_of_key(obs.key, nshards)] += 1;
+            if stamped {
                 match cursors.iter_mut().find(|(j, _)| *j == obs.key.job) {
                     Some((_, n)) => *n += 1,
                     None => cursors.push((obs.key.job, 1)),
                 }
             }
-            for (job, n) in cursors.iter_mut() {
-                let job_base = self.job_clock(*job).fetch_add(*n, Ordering::Relaxed);
-                *n = job_base + 1; // repurposed: next stamp to assign
-            }
         }
+        // Per-job stamp allocation: reserve one contiguous stamp range
+        // per job from its registry clock (a single `fetch_add` each),
+        // then hand the stamps out in batch order — concurrent clients
+        // get disjoint ranges, and a job's clock only ever advances
+        // under its own traffic.
+        for (job, n) in cursors.iter_mut() {
+            let job_base = self.job_clock(*job).fetch_add(*n, Ordering::Relaxed);
+            *n = job_base + 1; // repurposed: next stamp to assign
+        }
+        // Fill pass: every leg is allocated once, at its exact size.
         let mut legs = self.legs_scratch.borrow_mut();
-        legs.resize_with(nshards, || None);
+        legs.clear();
+        legs.extend(sizes.iter().map(|&n| match (n, stamped) {
+            (0, _) => None,
+            (n, false) => Some(Leg::Plain(Vec::with_capacity(n))),
+            (n, true) => Some(Leg::Stamped(Vec::with_capacity(n))),
+        }));
         for obs in batch {
             let s = shard_of_key(obs.key, nshards);
-            let leg = legs[s].get_or_insert_with(|| self.empty_leg(s, stamped));
+            let leg = legs[s]
+                .as_mut()
+                .expect("shard counted in the counting pass");
             match leg {
                 Leg::Plain(buf) => buf.push(*obs),
                 Leg::Stamped(buf) => {
                     let (_, cursor) = cursors
                         .iter_mut()
                         .find(|(j, _)| *j == obs.key.job)
-                        .expect("job counted in the stamping pass");
+                        .expect("job counted in the counting pass");
                     buf.push((*obs, *cursor));
                     *cursor += 1;
                 }
@@ -1369,9 +1263,6 @@ impl EngineClient {
     ///
     /// Replies of an older epoch, left by an aborted collection, are
     /// skipped; that is also what makes every downcast here succeed.
-    /// Each reply drains the leg-return lane: a worker recycles each
-    /// leg before it serves the next command, so when a shard's reply
-    /// arrives every leg sent to it earlier is back in the pool.
     ///
     /// Errs with [`WorkerGone`] for the first asked shard whose lane is
     /// closed or whose worker exits with the query unanswered. The
@@ -1419,7 +1310,6 @@ impl EngineClient {
                     }
                 }
             };
-            self.drain_recycled();
             if reply.epoch != epoch {
                 continue;
             }
@@ -2283,85 +2173,82 @@ mod tests {
         assert_eq!(total.queue_high_water, 1, "cap-1 lane high water is 1");
     }
 
-    #[test]
-    fn leg_buffer_pools_are_bounded_in_count_and_capacity() {
-        // Direct bound checks on the pool gate: a slot keeps one
-        // buffer, the larger, and releases an oversized one.
-        let mut slot = None;
-        let oversized = Leg::Plain(Vec::with_capacity(POOL_MAX_EVENT_CAP + 1));
-        EngineClient::keep_larger(&mut slot, oversized);
-        assert!(slot.is_none(), "oversized buffer is released");
-        for cap in [16, 64, 32] {
-            EngineClient::keep_larger(&mut slot, Leg::Plain(Vec::with_capacity(cap)));
-        }
-        assert_eq!(
-            slot.as_ref().map(Leg::capacity),
-            Some(64),
-            "larger buffer kept"
-        );
-
-        // End-to-end: a giant burst must not stay pooled.
-        let eng = engine(1);
-        let client = eng.client();
-        let huge: Vec<Observation> = (0..POOL_MAX_EVENT_CAP + 1)
-            .map(|i| Observation::new(skey(0), i as u64 % 3))
-            .collect();
-        client.observe_batch(&huge);
-        client.metrics_total(); // barrier: the leg has been recycled and drained
-        let pooled = client.leg_pool.borrow();
-        assert_eq!(pooled.len(), eng.shard_count(), "one slot per shard");
-        assert!(
-            pooled.iter().all(Option::is_none),
-            "pool retained an oversized buffer"
-        );
+    /// A client whose shard lanes end in receivers the test holds
+    /// instead of workers, so the test can inspect what it sends.
+    fn client_with_open_lanes(cfg: EngineConfig) -> (EngineClient, Vec<Receiver<ShardCmd>>) {
+        let (senders, lanes): (Vec<_>, Vec<_>) = (0..cfg.shards).map(|_| unbounded()).unzip();
+        let eng = PersistentEngine {
+            inner: Arc::new(Inner {
+                lanes: senders.iter().map(|_| LaneStats::default()).collect(),
+                cfg,
+                senders,
+                workers: Vec::new(),
+                wal: None,
+                wal_writer: None,
+                clock: AtomicU64::new(0),
+                job_clocks: RwLock::new(FxHashMap::default()),
+                telemetry: None,
+            }),
+        };
+        (eng.client(), lanes)
     }
 
+    /// Every observe leg is allocated once, at exactly its event
+    /// count, and carries its shard's share of the batch in batch
+    /// order: plain legs without a TTL, and with one stamped legs whose
+    /// stamps count on along each job's own clock.
     #[test]
-    fn leg_pool_settles_to_each_shards_largest_buffer() {
-        // However far the workers lag, and so however many buffers the
-        // client allocates and which legs they carry, a reply from
-        // every shard leaves one pooled buffer per shard, sized to that
-        // shard's largest leg, and nothing on the return lane.
-        for lag in [Duration::ZERO, Duration::from_millis(2)] {
-            let eng = engine(2);
-            let client = eng.client();
-            let rank_on = |s: usize| {
-                (0..64)
-                    .find(|&r| eng.shard_for(r) == s)
-                    .expect("a rank on every shard")
-            };
-            let (r0, r1) = (rank_on(0), rank_on(1));
-            for s in 0..2 {
-                eng.debug_throttle_worker(s, lag);
-            }
-            let mut sent = 0;
-            for i in 0..6 {
-                // Shard 0's legs peak at 100 events and shard 1's at
-                // 20, both mid-stream.
-                let n0 = if i == 3 { 100 } else { 30 };
-                let n1 = if i == 2 { 20 } else { 5 };
-                let batch: Vec<Observation> = (0..n0)
-                    .map(|v| Observation::new(skey(r0), v % 3))
-                    .chain((0..n1).map(|v| Observation::new(skey(r1), v % 2)))
+    fn every_observe_leg_is_allocated_at_its_exact_size() {
+        const SHARDS: usize = 3;
+        for ttl in [None, Some(1_000)] {
+            let (client, lanes) = client_with_open_lanes(EngineConfig {
+                ttl,
+                ..EngineConfig::with_shards(SHARDS)
+            });
+            let mut job_clocks = [0u64; 2];
+            for n in [5u32, 7, 13, 100, 1_000, 70_001] {
+                let batch: Vec<(Observation, u64)> = (0..n)
+                    .map(|i| {
+                        let key = StreamKey::for_job(i % 2, i % 7, StreamKind::Sender);
+                        job_clocks[key.job as usize] += 1;
+                        let stamp = job_clocks[key.job as usize];
+                        (Observation::new(key, u64::from(i % 5)), stamp)
+                    })
                     .collect();
-                client.observe_batch(&batch);
-                sent += batch.len() as u64;
+                let events: Vec<Observation> = batch.iter().map(|&(o, _)| o).collect();
+                assert!(client.observe_batch(&events).complete());
+                for (s, lane) in lanes.iter().enumerate() {
+                    let want: Vec<(Observation, u64)> = batch
+                        .iter()
+                        .filter(|(o, _)| shard_of_key(o.key, SHARDS) == s)
+                        .copied()
+                        .collect();
+                    if want.is_empty() {
+                        assert!(lane.is_empty(), "batch {n}: no leg for an idle shard");
+                        continue;
+                    }
+                    let Ok(ShardCmd::Observe { leg, .. }) = lane.try_recv() else {
+                        panic!("batch {n}: shard {s} got no observe leg");
+                    };
+                    let capacity = match leg {
+                        Leg::Plain(got) => {
+                            assert!(ttl.is_none(), "a TTL engine stamps its legs");
+                            let plain: Vec<Observation> = want.iter().map(|&(o, _)| o).collect();
+                            assert_eq!(got, plain, "batch {n}: shard {s} leg contents");
+                            got.capacity()
+                        }
+                        Leg::Stamped(got) => {
+                            assert!(ttl.is_some(), "stamps only under a TTL");
+                            assert_eq!(got, want, "batch {n}: shard {s} leg contents");
+                            got.capacity()
+                        }
+                    };
+                    assert_eq!(capacity, want.len(), "batch {n}: shard {s} leg capacity");
+                    assert!(lane.is_empty(), "batch {n}: one leg per shard");
+                }
             }
-            for s in 0..2 {
-                eng.debug_throttle_worker(s, Duration::ZERO);
-            }
-            assert_eq!(client.metrics_total().events_ingested, sent);
-            let caps: Vec<Option<usize>> = client
-                .leg_pool
-                .borrow()
-                .iter()
-                .map(|leg| leg.as_ref().map(Leg::capacity))
-                .collect();
-            assert_eq!(caps, [Some(128), Some(32)], "lag {lag:?}");
-            assert!(client.recycle_rx.is_empty(), "lag {lag:?}");
         }
     }
-
     #[test]
     fn dead_worker_surfaces_worker_gone_instead_of_silent_drop() {
         let eng = engine(4);

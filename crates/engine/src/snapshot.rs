@@ -1514,4 +1514,53 @@ mod tests {
             assert_rejected(msg, msg, spoil);
         }
     }
+    /// `a` with the byte at its first payload difference from `b` set
+    /// to `tag` and the checksum recomputed, so only that tag is wrong.
+    fn with_tag_at_first_difference(a: &[u8], b: &[u8], tag: u8) -> Vec<u8> {
+        let header = SNAPSHOT_MAGIC.len() + 4 + 8;
+        let at = a[header..]
+            .iter()
+            .zip(&b[header..])
+            .position(|(x, y)| x != y);
+        let mut bytes = a.to_vec();
+        bytes[header + at.expect("the payloads differ")] = tag;
+        let end = bytes.len() - 8;
+        let sum = fnv1a(&bytes[header..end]);
+        bytes[end..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// Checksummed snapshots whose enum tags are past their range
+    /// decode to a typed `Malformed`, never a panic or a wrong value.
+    /// Each case changes one field of the sample's stream so the first
+    /// payload difference is that field's tag, then writes the bad tag
+    /// there.
+    #[test]
+    fn out_of_range_enum_tags_are_malformed() {
+        /// A change to the sample's stream, the bad tag, the error.
+        type Case = (fn(&mut StreamState), u8, &'static str);
+        let snap = sample_engine_snapshot();
+        let cases: [Case; 5] = [
+            (
+                |s| s.key.kind = StreamKind::Sender,
+                3,
+                "stream kind tag out of range",
+            ),
+            (|s| s.pending_next = None, 2, "option tag out of range"),
+            (|s| s.predictor.vote = false, 2, "bool tag out of range"),
+            (|s| s.ensemble = None, 2, "ensemble tag out of range"),
+            (
+                |s| s.ensemble.as_mut().expect("sample has one").members[0].kind_tag += 1,
+                u8::MAX,
+                "predictor kind tag out of range",
+            ),
+        ];
+        for (change, tag, msg) in cases {
+            let mut other = snap.clone();
+            change(&mut other.shard_states[0].streams[0]);
+            let (a, b) = (encode_engine(&snap), encode_engine(&other));
+            let bad = with_tag_at_first_difference(&a, &b, tag);
+            assert_eq!(decode_engine(&bad), Err(SnapshotError::Malformed(msg)));
+        }
+    }
 }

@@ -67,8 +67,8 @@ const NIL: u32 = u32::MAX;
 
 /// Stable handle to one occupied slot. Ids are reused after
 /// [`StreamTable::remove`] (free-list), so a `SlotId` is only valid
-/// while its stream stays resident — exactly the lifetime of the
-/// batch-local memoization the shard's ingest loop uses.
+/// while its stream stays resident; the shard looks its id up afresh
+/// for every event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotId(u32);
 
@@ -244,8 +244,7 @@ impl<T> StreamTable<T> {
     /// # Panics
     ///
     /// Panics if `key` is already resident (callers route through
-    /// [`StreamTable::get`] first — the double hash that would imply is
-    /// exactly what the shard's memoized ingest loop avoids).
+    /// [`StreamTable::get`] first, as the shard's ingest loop does).
     pub fn insert(&mut self, key: StreamKey, at: u64, payload: T) -> SlotId {
         let domain = self.intern_domain(key.job);
         let idx = if self.free != NIL {

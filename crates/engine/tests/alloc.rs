@@ -10,10 +10,11 @@
 //!
 //! A counting global allocator tallies every `alloc`/`realloc`. The
 //! binary contains exactly this one test, so no concurrent test thread
-//! can pollute the counter. The persistent engine's per-batch channel
-//! legs are pool-recycled but its query replies allocate per call —
-//! that path is documented as re-plan-rate, not event-rate, in the
-//! crate docs.
+//! can pollute the counter. The persistent engine allocates one leg per
+//! shard per batch, which its worker frees (`tests/client_heap.rs`
+//! checks nothing is retained), and its query replies allocate per
+//! call — that path is documented as re-plan-rate, not event-rate, in
+//! the crate docs.
 
 use mpp_core::dpd::DpdConfig;
 use mpp_engine::{Observation, Shard, StreamKey, StreamKind, TelemetryConfig};

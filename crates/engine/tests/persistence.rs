@@ -5,11 +5,16 @@
 //! operations and (b) the sequential reference of one raw-symbol
 //! `DpdPredictor` per stream with the same eviction rule applied by
 //! hand — including across eviction-and-reload of a stream, which must
-//! restart cold.
+//! restart cold. Forecasts read their writes the same way through a
+//! federation of members: each one equals the reference at the moment
+//! it is asked.
 
 use mpp_core::dpd::{DpdConfig, DpdPredictor};
 use mpp_core::predictors::Predictor;
-use mpp_engine::{EngineConfig, Observation, PersistentEngine, Query, StreamKey, StreamKind};
+use mpp_engine::{
+    EngineConfig, FederatedEngine, FederationConfig, JobId, Observation, PersistentEngine, Query,
+    RankId, StreamKey, StreamKind,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -18,11 +23,13 @@ const HORIZONS: u32 = 4;
 
 /// Sequential per-stream reference with the engine's eviction rule:
 /// raw symbols, one predictor per stream, reset on forced eviction or
-/// when the engine-time gap exceeds the TTL.
+/// when the gap on the stream's job clock exceeds the TTL. Each job's
+/// clock counts that job's own events (the engine's per-job time
+/// domains), so with a single job it is the engine clock.
 struct RefBank {
     cfg: DpdConfig,
     ttl: Option<u64>,
-    clock: u64,
+    clocks: HashMap<JobId, u64>,
     slots: HashMap<StreamKey, (DpdPredictor, u64)>,
 }
 
@@ -31,19 +38,25 @@ impl RefBank {
         RefBank {
             cfg,
             ttl,
-            clock: 0,
+            clocks: HashMap::new(),
             slots: HashMap::new(),
         }
     }
 
-    fn expired(&self, last_seen: u64, now: u64) -> bool {
-        matches!(self.ttl, Some(t) if now.saturating_sub(last_seen) > t)
+    /// `job`'s clock: how many of its events have been observed.
+    fn now(&self, job: JobId) -> u64 {
+        self.clocks.get(&job).copied().unwrap_or(0)
+    }
+
+    fn expired(&self, key: StreamKey, last_seen: u64) -> bool {
+        matches!(self.ttl, Some(t) if self.now(key.job).saturating_sub(last_seen) > t)
     }
 
     fn observe_batch(&mut self, batch: &[Observation]) {
         for obs in batch {
-            self.clock += 1;
-            let at = self.clock;
+            let clock = self.clocks.entry(obs.key.job).or_insert(0);
+            *clock += 1;
+            let at = *clock;
             let cfg = &self.cfg;
             let ttl = self.ttl;
             let (predictor, last_seen) = self
@@ -61,10 +74,19 @@ impl RefBank {
 
     fn predict(&self, key: StreamKey, horizon: u32) -> Option<u64> {
         let (predictor, last_seen) = self.slots.get(&key)?;
-        if self.expired(*last_seen, self.clock) {
+        if self.expired(key, *last_seen) {
             return None;
         }
         predictor.predict(horizon as usize)
+    }
+
+    /// The next `depth` (sender, size) pairs of `rank` in `job` — what
+    /// `forecast_messages_for_job` must answer.
+    fn forecast(&self, job: JobId, rank: RankId, depth: u32) -> Vec<(Option<u64>, Option<u64>)> {
+        let at = |kind, h| self.predict(StreamKey::for_job(job, rank, kind), h);
+        (1..=depth)
+            .map(|h| (at(StreamKind::Sender, h), at(StreamKind::Size, h)))
+            .collect()
     }
 
     fn evict(&mut self, key: StreamKey) {
@@ -75,15 +97,15 @@ impl RefBank {
     fn live_contains(&self, key: StreamKey) -> bool {
         self.slots
             .get(&key)
-            .is_some_and(|(_, seen)| !self.expired(*seen, self.clock))
+            .is_some_and(|(_, seen)| !self.expired(key, *seen))
     }
 
     /// Streams still live (not expired) — what the engine must have
     /// resident after a full sweep.
     fn live_count(&self) -> usize {
         self.slots
-            .values()
-            .filter(|(_, seen)| !self.expired(*seen, self.clock))
+            .iter()
+            .filter(|(key, (_, seen))| !self.expired(**key, *seen))
             .count()
     }
 }
@@ -310,5 +332,79 @@ proptest! {
         solo.sweep_expired();
         prop_assert_eq!(client.stream_count(), reference.live_count());
         prop_assert_eq!(solo.stream_count(), reference.live_count());
+    }
+}
+
+/// Jobs and ranks of the federated forecast proptest.
+const FED_JOBS: u32 = 3;
+const FED_RANKS: u32 = 4;
+
+/// One mixed-job batch for the federated forecast proptest: `len`
+/// events whose streams walk from `seed`. Each stream repeats its own
+/// short cycle (so streams lock), except for the event at `break_at`.
+fn mixed_job_batch(
+    seed: u32,
+    len: u32,
+    break_at: u32,
+    seen: &mut HashMap<StreamKey, u64>,
+) -> Vec<Observation> {
+    (0..len)
+        .map(|j| {
+            let x = seed + j * 5;
+            let key = StreamKey::for_job(
+                x % FED_JOBS,
+                x / FED_JOBS % FED_RANKS,
+                StreamKind::ALL[(x / (FED_JOBS * FED_RANKS)) as usize % 3],
+            );
+            let n = seen.entry(key).or_insert(0);
+            *n += 1;
+            let period = 2 + u64::from(key.rank % 3);
+            let value = if j == break_at { 99 } else { *n % period };
+            Observation::new(key, value)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20))]
+
+    /// Read-your-writes for forecasts: through a federation of 1–2
+    /// members with 1–4 shards each, with and without a TTL, any
+    /// interleaving of mixed-job batches and forecasts answers every
+    /// forecast exactly as the sequential per-stream reference does at
+    /// that moment — each forecast sees every event submitted before
+    /// it, on every member and shard.
+    #[test]
+    fn forecasts_read_their_writes_through_a_federation(
+        raw_ops in prop::collection::vec((0u8..5, 0u32..64, 0u32..24, 1u32..25), 1..60),
+        members in 1usize..3,
+        shards in 1usize..5,
+        ttl_sel in 0u64..60,
+    ) {
+        // A third of the cases run without TTL; the rest with a small
+        // TTL so streams expire between their own events.
+        let ttl = if ttl_sel < 20 { None } else { Some(ttl_sel) };
+        let cfg = DpdConfig { window: 48, max_lag: 16, ..DpdConfig::default() };
+        let fed = FederatedEngine::new(FederationConfig::new(members, shards).member_config(
+            EngineConfig { shards, dpd: cfg.clone(), ttl, ..EngineConfig::default() },
+        ));
+        let client = fed.client();
+        let mut reference = RefBank::new(cfg, ttl);
+        let mut seen = HashMap::new();
+        let mut out = Vec::new();
+        for (sel, seed, a, b) in raw_ops {
+            if sel < 3 {
+                let batch = mixed_job_batch(seed, b, a, &mut seen);
+                client.observe_batch(&batch);
+                reference.observe_batch(&batch);
+            } else {
+                let (job, rank, depth) = (seed % FED_JOBS, a % FED_RANKS, 1 + b % 4);
+                client.forecast_messages_for_job(job, rank, depth as usize, &mut out);
+                prop_assert_eq!(
+                    &out, &reference.forecast(job, rank, depth),
+                    "forecast of job {} rank {} depth {}", job, rank, depth
+                );
+            }
+        }
     }
 }
