@@ -8,7 +8,12 @@
 //! takes off the comparison that leaves each full window,
 //! `x[t−N]` against `x[t−N−m]`, recomputed from the history rather than
 //! stored. The history ring (`N + max_lag` symbols) is the only other
-//! state, so a detector with the default settings holds about 3.5 KB.
+//! state. It stores one byte per symbol while every symbol it has held
+//! fits one, as the engine's dense ids do until a stream interns its
+//! 257th symbol, and a full `u64` from then on; `observe` branches on
+//! that width once and runs one body per width. With the default
+//! settings a detector's heap is 640 bytes byte-wide (each compare pass
+//! reads 128 bytes of history) and about 3.3 KB wide (1 KiB per pass).
 //! This is the "circular lists" implementation whose low overhead §4.2
 //! emphasises (benchmarked in `mpp-bench`).
 //!
@@ -34,7 +39,7 @@
 //! period is the first smallest counter of that prefix. Only warm-up, with
 //! the history still filling, compares ratios lag by lag.
 
-use crate::ring::Ring;
+use crate::ring::{Recent, Ring, Width};
 use crate::stream::Symbol;
 
 /// Tuning knobs for the detector.
@@ -127,7 +132,8 @@ impl DpdConfig {
 pub struct PeriodicityDetector {
     cfg: DpdConfig,
     /// Recent raw symbols; sized `window + max_lag` so both comparison
-    /// partners and prediction sources stay addressable.
+    /// partners and prediction sources stay addressable. Byte-wide until
+    /// a symbol above 255 arrives.
     history: Ring,
     /// `mismatches[i]`: mismatching comparisons among the last
     /// `min(window, history.len() − m)` at lag `m = min_lag + i`. The
@@ -210,19 +216,14 @@ impl PeriodicityDetector {
 
     /// Feeds one stream symbol and updates the detected period.
     pub fn observe(&mut self, v: Symbol) {
-        let (window, min_lag) = (self.cfg.window, self.cfg.min_lag);
-        let lags = self.mismatches.len();
-        // Before the push, recent(k) is x[t−1−k]. The comparison leaving
-        // lag m's window is x[t−window] = recent(window − 1) against
-        // x[t−window−m] = recent(window − 1 + m); it exists exactly when
-        // that window was full.
-        if let Some(leaving) = self.history.recent(window - 1) {
-            let partners = self.history.recent_slices(window - 1 + min_lag, lags);
-            tally(&mut self.mismatches, leaving, partners, u16::wrapping_sub);
+        // Widen first, so both compare passes and the push see one width.
+        self.history.widen_for(v);
+        let (counts, window, min_lag) = (&mut *self.mismatches, self.cfg.window, self.cfg.min_lag);
+        match self.history.width() {
+            // The ring is still narrow, so `v` fits a byte.
+            Width::Narrow(h) => compare(counts, h, v as u8, window, min_lag),
+            Width::Wide(h) => compare(counts, h, v, window, min_lag),
         }
-        // The new comparison at lag m: v against x[t−m] = recent(m − 1).
-        let partners = self.history.recent_slices(min_lag - 1, lags);
-        tally(&mut self.mismatches, v, partners, u16::wrapping_add);
         self.history.push(v);
         self.observations += 1;
         self.update_current();
@@ -350,15 +351,43 @@ impl PeriodicityDetector {
     }
 }
 
+/// The two compare passes of one observation of `v`, over the history
+/// as the ring stores it: one body per storage width.
+#[inline]
+fn compare<T: Copy + PartialEq>(
+    counts: &mut [u16],
+    history: Recent<'_, T>,
+    v: T,
+    window: usize,
+    min_lag: usize,
+) {
+    let lags = counts.len();
+    // Before the push, get(k) is x[t−1−k]. The comparison leaving lag
+    // m's window is x[t−window] = get(window − 1) against
+    // x[t−window−m] = get(window − 1 + m); it exists exactly when that
+    // window was full.
+    if let Some(leaving) = history.get(window - 1) {
+        let partners = history.slices(window - 1 + min_lag, lags);
+        tally(counts, leaving, partners, u16::wrapping_sub);
+    }
+    // The new comparison at lag m: v against x[t−m] = get(m − 1).
+    tally(
+        counts,
+        v,
+        history.slices(min_lag - 1, lags),
+        u16::wrapping_add,
+    );
+}
+
 /// Applies `op` (add or subtract) to each lag's counter with the mismatch
 /// of `x` against that lag's partner. `partners` holds the partners of
 /// the first lags in order, as the ring's two contiguous runs; lags past
 /// their end have no partner yet and keep their counts.
 #[inline]
-fn tally(
+fn tally<T: Copy + PartialEq>(
     counts: &mut [u16],
-    x: Symbol,
-    (near, far): (&[Symbol], &[Symbol]),
+    x: T,
+    (near, far): (&[T], &[T]),
     op: impl Fn(u16, u16) -> u16,
 ) {
     let (first, rest) = counts.split_at_mut(near.len());

@@ -5,10 +5,12 @@
 //! Configs are arbitrary within validation: `min_lag` above 1, positive
 //! tolerances, evidence needs above the window, windows shorter than
 //! `max_lag`, and lag counts that are not multiples of 64. Streams are
-//! periodic patterns over small alphabets with noise and a phase change.
-//! Each case also cuts the new side through a snapshot
-//! ([`DpdPredictor::export_state`] → [`DpdPredictor::from_state`], which
-//! hydrates the detector) and resets both sides at random steps.
+//! periodic patterns over small alphabets with noise and a phase change;
+//! a second property lifts part of each stream past a byte from a random
+//! step on, so the new side's ring widens mid-stream. Each case also cuts
+//! the new side through a snapshot ([`DpdPredictor::export_state`] →
+//! [`DpdPredictor::from_state`], which hydrates the detector) and resets
+//! both sides at random steps.
 
 use super::reference;
 use super::{DpdConfig, DpdPredictor, PeriodicityDetector};
@@ -51,6 +53,17 @@ fn noisy_stream(seed: u64, len: usize, period: usize, alphabet: u64, noise: u64)
             }
         })
         .collect()
+}
+
+/// Lifts every odd symbol of `stream` from step `from` on by `lift`
+/// (at least 256), so those symbols no longer fit a byte while the even
+/// ones keep matching their earlier instances.
+fn lift_odd_from(stream: &mut [Symbol], from: usize, lift: u64) {
+    for v in stream.iter_mut().skip(from) {
+        if *v % 2 == 1 {
+            *v += lift;
+        }
+    }
 }
 
 /// Every observable of the two detectors, bit for bit.
@@ -104,7 +117,7 @@ fn run(
             new = DpdPredictor::from_state(cfg.clone(), &state);
             prop_assert_eq!(
                 new.detector().history().to_vec(),
-                old.history().to_vec(),
+                old.history().iter().copied().collect::<Vec<_>>(),
                 "history at the cut, step {}",
                 step
             );
@@ -154,6 +167,40 @@ proptest! {
         let (period, alphabet, noise) = shape;
         let stream = noisy_stream(seed, len, period, alphabet, noise);
         run(&cfg, &stream, cuts.0, cuts.1)?;
+    }
+
+    /// Streams that cross a byte mid-stream: the new side's ring widens
+    /// at the first lifted symbol and must keep every symbol it held. The
+    /// snapshot cut and the reset land up to 300 steps either side of
+    /// the widening; the reset's range runs further, past many streams'
+    /// ends, so some cases never reset.
+    #[test]
+    fn dense_counters_match_across_the_byte_boundary(
+        lags in (1usize..140, 1usize..5),
+        window in 1usize..160,
+        exact in 0u8..2,
+        shape in (1usize..24, 2u64..8, 0u64..60),
+        seed in 0u64..u64::MAX,
+        len in 1usize..900,
+        wide in (0usize..900, 256u64..1 << 40),
+        cuts in (-300i64..300, -300i64..600),
+    ) {
+        let (max_lag, min_lag) = lags;
+        let cfg = DpdConfig {
+            window,
+            max_lag,
+            min_lag: min_lag.min(max_lag),
+            tolerance: if exact == 0 { 0.0 } else { 0.25 },
+            ..DpdConfig::default()
+        };
+        let (period, alphabet, noise) = shape;
+        let mut stream = noisy_stream(seed, len, period, alphabet, noise);
+        let wide_at = wide.0 % len;
+        lift_odd_from(&mut stream, wide_at, wide.1);
+        // Offsets before the stream's start land on step 0; past its end,
+        // nothing happens.
+        let at = |off: i64| usize::try_from(wide_at as i64 + off).unwrap_or(0);
+        run(&cfg, &stream, at(cuts.0), at(cuts.1))?;
     }
 }
 

@@ -21,7 +21,9 @@
 //!   physical streams. It keeps one 16-bit mismatch counter per lag and
 //!   updates them with two compare passes over the retained history per
 //!   observation, O(M) each; once the history is full, selection is a
-//!   minimum over those counters.
+//!   minimum over those counters. The history stores one byte per
+//!   symbol until a symbol above 255 arrives, so on the engine's dense
+//!   ids each pass reads M bytes rather than 8·M.
 //! * [`predictor`] — [`DpdPredictor`], the [`Predictor`](crate::predictors::Predictor)
 //!   built on top, including the majority-vote variant used in ablations.
 

@@ -1,19 +1,21 @@
 //! The bit-window detector that [`PeriodicityDetector`](super::PeriodicityDetector)
-//! replaced, kept unchanged as the reference for the differential
-//! property test in `super::differential`.
+//! replaced, kept as the reference for the differential property test
+//! in `super::differential`.
 //!
 //! Each lag owns a [`BitWindow`] of its last `window` comparison
 //! outcomes and a running mismatch count; selection divides floats lag
 //! by lag. It is O(`max_lag`) per observation like the dense counters,
-//! but with one scattered heap window per lag. Nothing outside the
-//! tests uses it.
+//! but with one scattered heap window per lag. Its history is a plain
+//! `VecDeque` rather than a [`Ring`](crate::ring::Ring), so the
+//! differential shares no code with the ring it checks. Nothing outside
+//! the tests uses it.
 
-// Kept whole as it was, including the accessors no test calls.
+// Kept with the accessors no test calls.
 #![allow(dead_code)]
 
 use super::detector::DpdConfig;
-use crate::ring::Ring;
 use crate::stream::Symbol;
+use std::collections::VecDeque;
 
 /// A fixed-capacity FIFO of bits, used per lag to remember which of the
 /// last `capacity` comparisons were mismatches. Pushing past capacity
@@ -145,9 +147,9 @@ impl LagState {
 #[derive(Debug, Clone)]
 pub struct PeriodicityDetector {
     cfg: DpdConfig,
-    /// Recent raw symbols; sized `window + max_lag` so both comparison
-    /// partners and prediction sources stay addressable.
-    history: Ring,
+    /// Recent raw symbols, oldest first; at most `window + max_lag` of
+    /// them, so every comparison partner stays addressable.
+    history: VecDeque<Symbol>,
     /// `lags[i]` tracks lag `min_lag + i`.
     lags: Vec<LagState>,
     /// Precomputed evidence thresholds:
@@ -171,7 +173,7 @@ impl PeriodicityDetector {
             .map(|m| ((m as f64 * cfg.evidence_factor).ceil() as usize).max(cfg.min_comparisons))
             .collect();
         PeriodicityDetector {
-            history: Ring::with_capacity(cfg.window + cfg.max_lag),
+            history: VecDeque::with_capacity(cfg.window + cfg.max_lag),
             lags,
             needs,
             current: None,
@@ -185,48 +187,13 @@ impl PeriodicityDetector {
         &self.cfg
     }
 
-    /// Rebuilds a detector from a serialized history window — the
-    /// snapshot/restore path.
-    ///
-    /// `history` is the retained ring contents oldest-first (at most
-    /// `window + max_lag` symbols), `observations` the original
-    /// lifetime observation count, and `history_total` the original
-    /// ring's lifetime push count. Replaying the retained window is
-    /// *exact*, not approximate: the ring keeps `window + max_lag`
-    /// symbols, so for every lag `m` the replay regenerates at least
-    /// the last `window` comparisons at that lag — precisely the
-    /// comparisons the original [`BitWindow`]s held — and the mismatch
-    /// counters, the locked period, and all future behaviour recompute
-    /// bit-identically. Only the two lifetime counters need explicit
-    /// fix-up, which this constructor applies.
-    pub fn hydrate(
-        cfg: DpdConfig,
-        history: &[Symbol],
-        observations: u64,
-        history_total: u64,
-    ) -> Self {
-        let mut det = PeriodicityDetector::new(cfg);
-        assert!(
-            history.len() <= det.history.capacity(),
-            "hydrate history ({} symbols) exceeds the ring capacity ({})",
-            history.len(),
-            det.history.capacity()
-        );
-        for &v in history {
-            det.observe(v);
-        }
-        det.observations = observations;
-        det.history.set_total_pushed(history_total);
-        det
-    }
-
     /// Total number of observations fed so far.
     pub fn observations(&self) -> u64 {
         self.observations
     }
 
-    /// The stored symbol history (newest last), for prediction and debug.
-    pub fn history(&self) -> &Ring {
+    /// The stored symbol history (newest last).
+    pub fn history(&self) -> &VecDeque<Symbol> {
         &self.history
     }
 
@@ -234,20 +201,20 @@ impl PeriodicityDetector {
     pub fn observe(&mut self, v: Symbol) {
         // Lag `m = min_lag + i` compares `v` against x[t-m]: `m - 1`
         // steps back from the newest stored symbol (v is not yet
-        // pushed). Walking the history newest-first and zipping it onto
-        // the lag states visits the same (lag, partner) pairs as
-        // indexing `recent(m - 1)` per lag, but as two contiguous slice
-        // scans — no per-lag index arithmetic; lags whose partner is
-        // not stored yet simply fall off the end of the zip.
+        // stored). Lags whose partner is not stored yet fall off the
+        // end of the zip.
         let skip = self.cfg.min_lag - 1;
-        for (lag, prev) in self
+        for (lag, &prev) in self
             .lags
             .iter_mut()
-            .zip(self.history.iter_recent().skip(skip))
+            .zip(self.history.iter().rev().skip(skip))
         {
             lag.record(prev != v);
         }
-        self.history.push(v);
+        if self.history.len() == self.cfg.window + self.cfg.max_lag {
+            self.history.pop_front();
+        }
+        self.history.push_back(v);
         self.observations += 1;
         self.update_current();
     }

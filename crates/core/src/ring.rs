@@ -6,6 +6,12 @@
 //! `capacity` symbols and supports O(1) push and O(1) random access both
 //! from the newest end ([`Ring::recent`]) and the oldest end
 //! ([`Ring::oldest`]).
+//!
+//! A ring stores its symbols at the narrowest width they allow: one byte
+//! each while every symbol pushed fits a byte, full [`Symbol`]s from the
+//! first push that does not. The engine feeds its detectors dense ids,
+//! so a stream's ring stays byte-wide until the stream interns its 257th
+//! symbol; the DPD's compare passes then read an eighth of the bytes.
 
 use crate::stream::Symbol;
 
@@ -18,15 +24,86 @@ use crate::stream::Symbol;
 /// *down*, so any run of recent symbols, read newest-first, is at most
 /// two forward-running slices of the buffer — the layout the detector's
 /// per-lag compare loops scan.
+///
+/// The buffer holds `u8`s until a symbol above 255 is pushed; that push
+/// widens it once, in place, to `Symbol`s and it stays wide, across
+/// [`Ring::clear`] too. The width never shows in the API: every accessor
+/// reads and returns `Symbol`s.
 #[derive(Debug, Clone)]
 pub struct Ring {
-    buf: Box<[Symbol]>,
+    buf: Buf,
     /// Index of the most recent symbol (meaningless while empty).
     head: usize,
-    /// Number of valid elements (saturates at `buf.len()`).
+    /// Number of valid elements (saturates at the capacity).
     len: usize,
     /// Total number of symbols ever pushed (not capped).
     total: u64,
+}
+
+/// The ring's storage at its current width.
+#[derive(Debug, Clone)]
+enum Buf {
+    /// Every symbol pushed so far fits a byte.
+    Narrow(Box<[u8]>),
+    /// Some symbol pushed did not fit a byte.
+    Wide(Box<[Symbol]>),
+}
+
+/// A ring's retained symbols at the width it stores them, for scans
+/// that run one loop body per width.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Width<'a> {
+    Narrow(Recent<'a, u8>),
+    Wide(Recent<'a, Symbol>),
+}
+
+/// Newest-first access to a ring's retained symbols stored as `T`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Recent<'a, T> {
+    buf: &'a [T],
+    head: usize,
+    len: usize,
+}
+
+impl<'a, T: Copy> Recent<'a, T> {
+    /// The symbol stored `back` pushes ago (`get(0)` is the newest), or
+    /// `None` past the retained history.
+    #[inline]
+    pub(crate) fn get(&self, back: usize) -> Option<T> {
+        if back >= self.len {
+            return None;
+        }
+        // `head < cap` and `back < len <= cap` keep the unwrapped index
+        // below 2·cap, so one conditional subtract replaces the modulo.
+        let cap = self.buf.len();
+        let mut idx = self.head + back;
+        if idx >= cap {
+            idx -= cap;
+        }
+        Some(self.buf[idx])
+    }
+
+    /// `get(skip)`, `get(skip + 1)`, … for up to `n` symbols (fewer when
+    /// the history runs out), as two forward-running slices: the second
+    /// continues the first after the buffer wraps and is often empty.
+    #[inline]
+    pub(crate) fn slices(&self, skip: usize, n: usize) -> (&'a [T], &'a [T]) {
+        let n = n.min(self.len.saturating_sub(skip));
+        if n == 0 {
+            return (&[], &[]);
+        }
+        let cap = self.buf.len();
+        let mut start = self.head + skip;
+        if start >= cap {
+            start -= cap;
+        }
+        let end = start + n;
+        if end <= cap {
+            (&self.buf[start..end], &[])
+        } else {
+            (&self.buf[start..], &self.buf[..end - cap])
+        }
+    }
 }
 
 impl Ring {
@@ -37,7 +114,7 @@ impl Ring {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         Ring {
-            buf: vec![0; capacity].into_boxed_slice(),
+            buf: Buf::Narrow(vec![0; capacity].into_boxed_slice()),
             head: 0,
             len: 0,
             total: 0,
@@ -47,16 +124,47 @@ impl Ring {
     /// Appends `v`, evicting the oldest element if the ring is full.
     #[inline]
     pub fn push(&mut self, v: Symbol) {
+        self.widen_for(v);
         self.head = if self.head == 0 {
-            self.buf.len() - 1
+            self.capacity() - 1
         } else {
             self.head - 1
         };
-        self.buf[self.head] = v;
-        if self.len < self.buf.len() {
+        match &mut self.buf {
+            // `widen_for` leaves the ring narrow only when `v` fits a byte.
+            Buf::Narrow(buf) => buf[self.head] = v as u8,
+            Buf::Wide(buf) => buf[self.head] = v,
+        }
+        if self.len < self.capacity() {
             self.len += 1;
         }
         self.total += 1;
+    }
+
+    /// Widens a narrow ring, keeping every stored symbol in its slot,
+    /// when `v` does not fit a byte; otherwise does nothing.
+    #[inline]
+    pub(crate) fn widen_for(&mut self, v: Symbol) {
+        if v > Symbol::from(u8::MAX) && matches!(self.buf, Buf::Narrow(_)) {
+            self.widen();
+        }
+    }
+
+    #[cold]
+    fn widen(&mut self) {
+        if let Buf::Narrow(narrow) = &self.buf {
+            self.buf = Buf::Wide(narrow.iter().map(|&b| Symbol::from(b)).collect());
+        }
+    }
+
+    /// The retained symbols at the width the ring stores them.
+    #[inline]
+    pub(crate) fn width(&self) -> Width<'_> {
+        let (head, len) = (self.head, self.len);
+        match &self.buf {
+            Buf::Narrow(buf) => Width::Narrow(Recent { buf, head, len }),
+            Buf::Wide(buf) => Width::Wide(Recent { buf, head, len }),
+        }
     }
 
     /// Number of currently stored symbols.
@@ -74,7 +182,10 @@ impl Ring {
     /// Maximum number of stored symbols.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        match &self.buf {
+            Buf::Narrow(buf) => buf.len(),
+            Buf::Wide(buf) => buf.len(),
+        }
     }
 
     /// Total number of symbols pushed over the ring's lifetime.
@@ -88,17 +199,10 @@ impl Ring {
     /// when `back` reaches past the stored history.
     #[inline]
     pub fn recent(&self, back: usize) -> Option<Symbol> {
-        if back >= self.len {
-            return None;
+        match self.width() {
+            Width::Narrow(r) => r.get(back).map(Symbol::from),
+            Width::Wide(r) => r.get(back),
         }
-        // `head < cap` and `back < len <= cap` keep the unwrapped index
-        // below 2·cap, so one conditional subtract replaces the modulo.
-        let cap = self.buf.len();
-        let mut idx = self.head + back;
-        if idx >= cap {
-            idx -= cap;
-        }
-        Some(self.buf[idx])
     }
 
     /// Iterates stored symbols newest-first (`recent(0)`, `recent(1)`,
@@ -106,31 +210,15 @@ impl Ring {
     /// two contiguous slices.
     #[inline]
     pub fn iter_recent(&self) -> impl Iterator<Item = Symbol> + '_ {
-        let (near, far) = self.recent_slices(0, self.len);
-        near.iter().chain(far).copied()
-    }
-
-    /// `recent(skip)`, `recent(skip + 1)`, … for up to `n` symbols (fewer
-    /// when the history runs out), as two forward-running slices: the
-    /// second continues the first after the buffer wraps and is often
-    /// empty.
-    #[inline]
-    pub(crate) fn recent_slices(&self, skip: usize, n: usize) -> (&[Symbol], &[Symbol]) {
-        let n = n.min(self.len.saturating_sub(skip));
-        if n == 0 {
-            return (&[], &[]);
-        }
-        let cap = self.buf.len();
-        let mut start = self.head + skip;
-        if start >= cap {
-            start -= cap;
-        }
-        let end = start + n;
-        if end <= cap {
-            (&self.buf[start..end], &[])
-        } else {
-            (&self.buf[start..], &self.buf[..end - cap])
-        }
+        // One pair of slices is empty: the ring has a single width.
+        let ((near, far), (wide_near, wide_far)) = match self.width() {
+            Width::Narrow(r) => (r.slices(0, self.len), (&[][..], &[][..])),
+            Width::Wide(r) => ((&[][..], &[][..]), r.slices(0, self.len)),
+        };
+        near.iter()
+            .chain(far)
+            .map(|&b| Symbol::from(b))
+            .chain(wide_near.iter().chain(wide_far).copied())
     }
 
     /// The `i`-th oldest stored value (`oldest(0)` is the oldest).
@@ -152,7 +240,8 @@ impl Ring {
         self.iter().collect()
     }
 
-    /// Forgets all stored symbols (capacity and total count are kept).
+    /// Forgets all stored symbols (capacity, width and total count are
+    /// kept, so clearing never allocates).
     pub fn clear(&mut self) {
         self.head = 0;
         self.len = 0;
@@ -260,22 +349,56 @@ mod tests {
     #[test]
     fn recent_slices_match_indexed_access() {
         // Below capacity, at capacity, and after wrapping, for every
-        // window into the history, including ones running past its end.
-        for pushes in [0usize, 3, 5, 7, 13] {
-            let mut r = Ring::with_capacity(5);
-            for v in 0..pushes as u64 {
-                r.push(v);
-            }
-            for skip in 0..7 {
-                for n in 0..7 {
-                    let (near, far) = r.recent_slices(skip, n);
-                    let walked: Vec<Symbol> = near.iter().chain(far).copied().collect();
-                    let indexed: Vec<Symbol> =
-                        (skip..skip + n).map_while(|b| r.recent(b)).collect();
-                    assert_eq!(walked, indexed, "{pushes} pushes, skip {skip}, n {n}");
+        // window into the history, including ones running past its end,
+        // at both widths: `base` 1000 widens the ring on its first push.
+        for base in [0u64, 1000] {
+            for pushes in [0usize, 3, 5, 7, 13] {
+                let mut r = Ring::with_capacity(5);
+                for v in 0..pushes as u64 {
+                    r.push(base + v);
+                }
+                for skip in 0..7 {
+                    for n in 0..7 {
+                        let walked: Vec<Symbol> = match r.width() {
+                            Width::Narrow(h) => {
+                                assert!(base == 0 || pushes == 0);
+                                let (near, far) = h.slices(skip, n);
+                                near.iter().chain(far).map(|&b| Symbol::from(b)).collect()
+                            }
+                            Width::Wide(h) => {
+                                assert!(base > 0);
+                                let (near, far) = h.slices(skip, n);
+                                near.iter().chain(far).copied().collect()
+                            }
+                        };
+                        let indexed: Vec<Symbol> =
+                            (skip..skip + n).map_while(|b| r.recent(b)).collect();
+                        assert_eq!(walked, indexed, "{pushes} pushes, skip {skip}, n {n}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn widens_once_on_the_first_symbol_past_a_byte_and_keeps_the_history() {
+        let mut r = Ring::with_capacity(4);
+        for v in [7, 255, 0, 9, 3] {
+            r.push(v);
+        }
+        assert!(matches!(r.width(), Width::Narrow(_)));
+        r.push(256);
+        assert!(matches!(r.width(), Width::Wide(_)));
+        assert_eq!(r.to_vec(), vec![0, 9, 3, 256]);
+        assert_eq!(r.iter_recent().collect::<Vec<_>>(), vec![256, 3, 9, 0]);
+        assert_eq!(r.total_pushed(), 6);
+        // Small symbols no longer narrow it, and neither does clearing.
+        r.push(1);
+        r.clear();
+        assert!(matches!(r.width(), Width::Wide(_)));
+        r.push(2);
+        assert_eq!(r.to_vec(), vec![2]);
+        assert_eq!(r.capacity(), 4);
     }
 
     #[test]

@@ -12,11 +12,31 @@ use mpp_core::predictors::Predictor;
 use mpp_core::ring::Ring;
 use mpp_core::stream::{exact_period, StreamStats, Symbol};
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::collections::VecDeque;
 
 /// Builds a stream by repeating `pattern` until `len` symbols are emitted.
 fn cycle_stream(pattern: &[Symbol], len: usize) -> Vec<Symbol> {
     (0..len).map(|i| pattern[i % pattern.len()]).collect()
+}
+
+/// Every accessor of `ring` against the bounded-deque `model` (oldest
+/// first) and the lifetime push count `total`.
+fn assert_ring_is(ring: &Ring, model: &VecDeque<Symbol>, total: u64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ring.len(), model.len());
+    prop_assert_eq!(ring.is_empty(), model.is_empty());
+    prop_assert_eq!(ring.total_pushed(), total);
+    for i in 0..model.len() + 1 {
+        prop_assert_eq!(ring.oldest(i), model.get(i).copied(), "oldest({})", i);
+        let back = model.len().checked_sub(1 + i).and_then(|j| model.get(j));
+        prop_assert_eq!(ring.recent(i), back.copied(), "recent({})", i);
+    }
+    let oldest_first: Vec<Symbol> = model.iter().copied().collect();
+    let newest_first: Vec<Symbol> = model.iter().rev().copied().collect();
+    prop_assert_eq!(ring.iter().collect::<Vec<_>>(), oldest_first.clone());
+    prop_assert_eq!(ring.to_vec(), oldest_first);
+    prop_assert_eq!(ring.iter_recent().collect::<Vec<_>>(), newest_first);
+    Ok(())
 }
 
 proptest! {
@@ -82,6 +102,39 @@ proptest! {
             let model_vec: Vec<Symbol> = model.iter().copied().collect();
             prop_assert_eq!(collected, model_vec);
         }
+    }
+
+    /// The same model on symbols that cross a byte: from a random step
+    /// on, odd values are lifted past 255, so the ring widens before or
+    /// after it first wraps and must keep every symbol it held. Every
+    /// accessor is checked after every push and after a clear at a
+    /// random step.
+    #[test]
+    fn ring_matches_vecdeque_model_across_the_byte_boundary(
+        cap in 1usize..20,
+        ops in prop::collection::vec(0u64..100, 0..60),
+        wide in (0usize..60, 256u64..1 << 40),
+        clear_at in 0usize..90,
+    ) {
+        let mut ring = Ring::with_capacity(cap);
+        let mut model: VecDeque<Symbol> = VecDeque::new();
+        for (step, mut v) in ops.into_iter().enumerate() {
+            if step >= wide.0 && v % 2 == 1 {
+                v += wide.1;
+            }
+            if step == clear_at {
+                ring.clear();
+                model.clear();
+                assert_ring_is(&ring, &model, step as u64)?;
+            }
+            ring.push(v);
+            model.push_back(v);
+            if model.len() > cap {
+                model.pop_front();
+            }
+            assert_ring_is(&ring, &model, step as u64 + 1)?;
+        }
+        prop_assert_eq!(ring.capacity(), cap);
     }
 
     /// On a clean periodic stream the detector locks a divisor-consistent

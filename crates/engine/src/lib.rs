@@ -33,7 +33,11 @@
 //! 3. **Allocation-lean steady state.** A warm [`Shard`] ingests and
 //!    forecasts without allocating (`tests/alloc.rs`): predictors reuse
 //!    their fixed [`Ring`](mpp_core::ring::Ring) buffers and forecast
-//!    output lands in caller-provided, capacity-reused vectors. The
+//!    output lands in caller-provided, capacity-reused vectors. A ring
+//!    allocates once more, to widen its byte-wide history, when its
+//!    stream interns its 257th symbol, which is also when the stream's
+//!    interner itself allocates (its id-to-symbol list doubles from 256
+//!    entries). The
 //!    persistent engine allocates each cross-thread batch leg once, at
 //!    its exact size, and the worker that applies it frees it, so no
 //!    buffer outlives the batch (`tests/client_heap.rs`). A query

@@ -5,14 +5,16 @@
 //! slot exists (the [`DpdPredictor`] reuses its fixed-capacity
 //! [`mpp_core::Ring`]s; the interner only allocates when a *new* raw
 //! symbol appears, which on periodic MPI streams happens a handful of
-//! times per stream lifetime).
+//! times per stream lifetime, and the ring only when the interner hands
+//! out id 256, the first that does not fit its byte-wide history).
 //!
 //! Interning: predictors operate on dense `u64` ids rather than raw
 //! symbols. Because the mapping is injective, equality structure — the
 //! only thing the DPD's distance metric consults — is preserved, so the
 //! detected periods and the mapped-back predictions are bit-identical to
 //! running the predictor on raw symbols (property-tested in
-//! `tests/equivalence.rs`).
+//! `tests/equivalence.rs`). Dense ids also keep each detector's history
+//! byte-wide until the stream's alphabet outgrows a byte.
 //!
 //! ## The slab-backed stream table
 //!

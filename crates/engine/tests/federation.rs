@@ -406,6 +406,10 @@ fn flushed_events_survive_migration_under_concurrent_other_job_ingest() {
     let noisy: Vec<u32> = (0..64u32).filter(|&j| j != job).take(4).collect();
 
     let stop = Arc::new(AtomicBool::new(false));
+    // The noise thread reports its first ingested batch, and `stop` is
+    // set only after that report, so other jobs' traffic has flowed
+    // however the threads are scheduled.
+    let (flowing_tx, flowing) = std::sync::mpsc::channel();
     let noise = {
         let fed = fed.clone();
         let stop = Arc::clone(&stop);
@@ -419,6 +423,9 @@ fn flushed_events_survive_migration_under_concurrent_other_job_ingest() {
                     .map(|&j| Observation::new(jkey(j, (i % 4) as u32, StreamKind::Sender), i % 5))
                     .collect();
                 client.observe_batch(&batch);
+                if i == 0 {
+                    flowing_tx.send(()).expect("the main thread waits for this");
+                }
                 i += 1;
             }
         })
@@ -442,6 +449,9 @@ fn flushed_events_survive_migration_under_concurrent_other_job_ingest() {
     let to = (from + 1) % 2;
     fed.migrate_job(job, from, to)
         .expect("identically configured members accept the move");
+    flowing
+        .recv()
+        .expect("the noise thread ingests a batch before it stops");
     stop.store(true, Ordering::Relaxed);
     noise.join().expect("noise thread");
 
