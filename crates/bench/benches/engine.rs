@@ -29,8 +29,8 @@ use criterion::{black_box, criterion_group, Criterion, Throughput};
 use mpp_core::dpd::DpdConfig;
 use mpp_engine::{
     BackpressurePolicy, DurabilityConfig, EngineConfig, EnsembleConfig, FederatedEngine,
-    FederationConfig, FlushPolicy, Observation, PersistentEngine, Query, RebalanceConfig, Shard,
-    StreamKey, StreamKind, TelemetryConfig,
+    FederationConfig, FlushPolicy, Observation, PersistentEngine, Query, Shard, StreamKey,
+    StreamKind, TelemetryConfig,
 };
 use std::time::{Duration, Instant};
 
@@ -54,9 +54,6 @@ const FED_JOBS: u32 = 4;
 /// Shards per federation member (kept small so total worker threads
 /// stay proportional to the member count).
 const FED_SHARDS: usize = 2;
-/// Member count for the rebalance A/B (the smallest federation where
-/// placement matters).
-const REBALANCE_MEMBERS: usize = 2;
 /// Timed batches per measurement run.
 const TIMED_BATCHES: usize = 6;
 /// Measurement runs per shard count; best-of damps noise. On
@@ -132,34 +129,33 @@ const BASELINE_PR4_PERSISTENT_1SHARD: f64 = 1_181_987.0;
 
 /// The previous committed run's numbers (same workload and
 /// estimators), kept for the figures this bench still measures. That
-/// run predates the dense-counter detector and was taken on a 1-core
-/// container, so the ratios against it mix detector, core-count and
-/// engine changes. Its `churn` figures went through the old scoped
-/// engine's single-shard path, which drove one `Shard` directly — the
-/// unit the churn arms now drive.
+/// run was taken on a loaded 2-core container, after the dense-counter
+/// detector and before the byte-wide history ring. It carries the last
+/// off/on A/B of the retired load-aware placement policy, which the
+/// bench no longer measures.
 const BASELINE_PRIOR: &str = r#"{
-    "cores": 1,
-    "note": "previous committed run: written with the durable observation log, before the dense-counter detector, on a 1-core container; ratios against it are not attributable to one change",
+    "cores": 2,
+    "note": "previous committed run: one execution mode, dense-counter detector, word-wide history ring, on a loaded 2-core container; ratios against it are not attributable to one change",
     "results": [
-      {"shards": 1, "queue_cap": null, "backpressure": "block", "events_per_sec": 1589893},
-      {"shards": 2, "queue_cap": null, "backpressure": "block", "events_per_sec": 1594422},
-      {"shards": 4, "queue_cap": null, "backpressure": "block", "events_per_sec": 2521766},
-      {"shards": 8, "queue_cap": null, "backpressure": "block", "events_per_sec": 2718095},
-      {"shards": 4, "queue_cap": 1, "backpressure": "block", "events_per_sec": 2617129},
-      {"shards": 4, "queue_cap": 8, "backpressure": "block", "events_per_sec": 2619448},
-      {"shards": 4, "queue_cap": 64, "backpressure": "block", "events_per_sec": 2607573}
+      {"shards": 1, "queue_cap": null, "backpressure": "block", "events_per_sec": 5091686},
+      {"shards": 2, "queue_cap": null, "backpressure": "block", "events_per_sec": 10549801},
+      {"shards": 4, "queue_cap": null, "backpressure": "block", "events_per_sec": 8130960},
+      {"shards": 8, "queue_cap": null, "backpressure": "block", "events_per_sec": 9767611},
+      {"shards": 4, "queue_cap": 1, "backpressure": "block", "events_per_sec": 7456109},
+      {"shards": 4, "queue_cap": 8, "backpressure": "block", "events_per_sec": 7872284},
+      {"shards": 4, "queue_cap": 64, "backpressure": "block", "events_per_sec": 10200095}
     ],
-    "federation": {"1": 1766637, "2": 1852971, "4": 1752650},
-    "rebalance": {"off": 2069938, "on": 1793716},
-    "churn": {"ttl_churn_events_per_sec": 1614474, "observe_latency_ns_per_event": {"p50": 1117, "p99": 1331}, "evict_lru_ns_per_victim": {"4096": 313, "32768": 487}},
-    "telemetry_overhead": {"off": 1647009, "on": 1661509},
-    "ensemble_overhead": {"dpd_only": 1617476, "standard_roster": 1149205},
-    "wal_overhead": {"off": 1274647, "every_batch": 1197013, "every_n_64": 1135704, "on_rotate": 1121127}
+    "federation": {"1": 10088214, "2": 7654754, "4": 8213927},
+    "rebalance": {"members": 2, "shards_per_member": 2, "jobs": 4, "off": 8692581, "on": 6525502},
+    "churn": {"ttl_churn_events_per_sec": 8610883, "observe_latency_ns_per_event": {"p50": 265, "p99": 1037}, "evict_lru_ns_per_victim": {"4096": 235, "32768": 318}},
+    "telemetry_overhead": {"off": 5024375, "on": 6932198},
+    "ensemble_overhead": {"dpd_only": 5327998, "standard_roster": 1522481},
+    "wal_overhead": {"off": 6206238, "every_batch": 3598388, "every_n_64": 4217629, "on_rotate": 3643532}
   }"#;
 
 /// The previous committed run's unbounded ingest rates, indexed like
 /// [`SHARD_COUNTS`], for the per-shard-count ratios.
-const BASELINE_PRIOR_RESULTS: [f64; 4] = [1_589_893.0, 1_594_422.0, 2_521_766.0, 2_718_095.0];
+const BASELINE_PRIOR_RESULTS: [f64; 4] = [5_091_686.0, 10_549_801.0, 8_130_960.0, 9_767_611.0];
 
 /// Deterministic multi-rank workload: every rank carries three periodic
 /// attribute streams with rank-dependent periods, interleaved
@@ -390,7 +386,6 @@ fn measure_federated(members: usize, batch: &[Observation], tb: usize) -> f64 {
     let fed = FederatedEngine::new(FederationConfig {
         members,
         member: EngineConfig::with_shards(FED_SHARDS),
-        rebalance: None,
     });
     let client = fed.client();
     client.observe_batch(batch); // warm: slots, interners, leg buffers
@@ -400,57 +395,6 @@ fn measure_federated(members: usize, batch: &[Observation], tb: usize) -> f64 {
         (0..tb).map(|_| {
             let start = Instant::now();
             client.observe_batch(batch);
-            black_box(client.metrics_total().events_ingested);
-            start.elapsed()
-        }),
-    )
-}
-
-/// The rebalance workload: a skewed hot/cold job mix — job `j` keeps
-/// every `(j + 1)`-th event of the synthetic batch, so job 0 is ~4×
-/// hotter than job 3 and hash placement starts imbalanced.
-fn skewed_federated_batch() -> Vec<Observation> {
-    let base = synthetic_batch();
-    let mut out = Vec::new();
-    for (i, obs) in base.iter().enumerate() {
-        for job in 0..FED_JOBS {
-            if i % (job as usize + 1) == 0 {
-                out.push(Observation::new(
-                    StreamKey::for_job(job, obs.key.rank, obs.key.kind),
-                    obs.value,
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// Ingest rate over the skewed hot/cold mix at [`REBALANCE_MEMBERS`]
-/// members, rebalancer off or on. The on arm closes a rebalance epoch
-/// after every timed batch *inside* the timing window, so its number
-/// carries the full cost of metric collection, planning, and any
-/// migrations the plan triggers.
-fn measure_rebalance(rebalance: bool, batch: &[Observation], tb: usize) -> f64 {
-    let fed = FederatedEngine::new(FederationConfig {
-        members: REBALANCE_MEMBERS,
-        member: EngineConfig::with_shards(FED_SHARDS),
-        rebalance: rebalance.then_some(RebalanceConfig {
-            headroom: 10,
-            max_moves_per_epoch: 2,
-            min_dwell_epochs: 1,
-        }),
-    });
-    let client = fed.client();
-    client.observe_batch(batch); // warm: slots, interners, leg buffers
-    client.metrics_total(); // barrier: warm-up fully applied
-    best_batch_rate(
-        batch.len(),
-        (0..tb).map(|_| {
-            let start = Instant::now();
-            client.observe_batch(batch);
-            if rebalance {
-                black_box(fed.rebalance_epoch().moved);
-            }
             black_box(client.metrics_total().events_ingested);
             start.elapsed()
         }),
@@ -519,10 +463,7 @@ fn bench_predict_batch(c: &mut Criterion) {
 /// `BOUNDED_SHARDS` shards; `federation` records the multi-engine
 /// ingest trajectory — events/sec per member count over a fixed
 /// `FED_JOBS`-job interleaved workload (`FED_SHARDS` shards per
-/// member); `rebalance` records the load-aware rebalancer A/B — the
-/// fixed skewed hot/cold mix ingested with the rebalancer off and on
-/// (epoch closed every batch, so the on arm bounds the cost from
-/// above); `churn` records the eviction-heavy numbers (TTL-churn
+/// member); `churn` records the eviction-heavy numbers (TTL-churn
 /// ingest, per-event latency percentiles, `evict_lru` ns/victim at two
 /// resident-set sizes — flat means O(victims), not O(resident));
 /// `telemetry_overhead` records the single-shard telemetry off/on A/B
@@ -584,25 +525,6 @@ fn write_bench_json(p: &Params) {
         );
         federation.push(format!("    \"{members}\": {rate:.0}"));
     }
-
-    // Rebalance A/B: the fixed skewed hot/cold mix with the load-aware
-    // rebalancer off and on, interleaved arms like the other A/Bs. The
-    // on arm pays for an epoch close (metrics broadcast + plan + any
-    // migrations) every batch — the worst-case cadence, far hotter than
-    // production epochs.
-    let skewed = skewed_federated_batch();
-    let mut rb = (0.0f64, 0.0f64); // (off, on)
-    for _ in 0..p.runs {
-        rb.0 = rb.0.max(measure_rebalance(false, &skewed, p.timed_batches));
-        rb.1 = rb.1.max(measure_rebalance(true, &skewed, p.timed_batches));
-    }
-    println!(
-        "engine ingest rebalance A/B {REBALANCE_MEMBERS} member(s) x {FED_SHARDS} shard(s), \
-         skewed {FED_JOBS} jobs: off {:>10.0} ev/s, on {:>10.0} ev/s ({:+.2}% overhead)",
-        rb.0,
-        rb.1,
-        100.0 * (rb.0 / rb.1.max(1e-12) - 1.0)
-    );
 
     // Telemetry A/B: the identical single-shard workload with the
     // telemetry layer off and on. One shard keeps the per-event
@@ -723,17 +645,6 @@ fn write_bench_json(p: &Params) {
          \"bounded_saturation\": {{\n{}\n  }},\n  \
          \"federation\": {{\n    \"jobs\": {FED_JOBS},\n    \"shards_per_member\": {FED_SHARDS},\n    \
          \"events_per_sec\": {{\n{}\n    }}\n  }},\n  \
-         \"rebalance\": {{\n    \"members\": {REBALANCE_MEMBERS},\n    \
-         \"shards_per_member\": {FED_SHARDS},\n    \"jobs\": {FED_JOBS},\n    \
-         \"workload\": \"skewed hot/cold mix: job j keeps every (j+1)-th event, so job 0 \
-         is ~4x hotter than job 3 and hash placement starts imbalanced\",\n    \
-         \"events_per_sec\": {{\"off\": {:.0}, \"on\": {:.0}}},\n    \
-         \"overhead_pct\": {:.2},\n    \
-         \"method\": \"same min estimator and interleaved off/on arms as the other A/Bs; \
-         the on arm closes a rebalance epoch (metrics broadcast + pure plan + any quiesce \
-         and migrate legs) after every timed batch inside the timing window — a per-batch \
-         cadence far hotter than production epochs, so this bounds the steady-state cost \
-         from above\"\n  }},\n  \
          \"churn\": {{\n    \"unit\": \"one Shard driven directly (observe_all_at + maybe_sweep per \
          batch; evict_lru on the shard)\",\n    \
          \"ttl_churn_events_per_sec\": {churn_rate:.0},\n    \
@@ -790,9 +701,6 @@ fn write_bench_json(p: &Params) {
         entries.join(",\n"),
         saturation.join(",\n"),
         federation.join(",\n"),
-        rb.0,
-        rb.1,
-        100.0 * (rb.0 / rb.1.max(1e-12) - 1.0),
         p.latency_batches,
         p.evict_rounds,
         evict_entries.join(",\n"),

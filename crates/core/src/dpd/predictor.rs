@@ -338,6 +338,13 @@ impl Predictor for DpdPredictor {
         if state.history_total < state.history.len() as u64 {
             return Err(HydrateError("dpd history total below window length"));
         }
+        // `observe` and `lock_run_len` subtract the change stamp from
+        // the observation count.
+        if state.last_change_at > state.obs_seen {
+            return Err(HydrateError(
+                "dpd last period change is past its observation count",
+            ));
+        }
         *self = DpdPredictor::from_state(self.det.config().clone(), &state);
         Ok(())
     }
@@ -479,6 +486,26 @@ mod tests {
         p.reset();
         assert_eq!(p.predict(1), None);
         assert_eq!(p.period(), None);
+    }
+
+    #[test]
+    fn hydrate_rejects_a_period_change_past_the_observation_count() {
+        let p = trained(&[5, 6, 7], 20);
+        let mut words = Vec::new();
+        p.export_words(&mut words);
+        // vote flag, history length and history, then the detector's
+        // count, the ring's count, `obs_seen`, `period_changes` and
+        // `last_change_at`.
+        let obs_seen = 2 + words[1] as usize + 2;
+        let mut copy = DpdPredictor::new(DpdConfig::default());
+        copy.hydrate_words(&mut WordCursor::new(&words)).unwrap();
+        words[obs_seen + 2] = words[obs_seen] + 1;
+        assert_eq!(
+            copy.hydrate_words(&mut WordCursor::new(&words)),
+            Err(HydrateError(
+                "dpd last period change is past its observation count"
+            ))
+        );
     }
 
     #[test]

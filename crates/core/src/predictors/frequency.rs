@@ -83,7 +83,7 @@ impl Predictor for FrequencyPredictor {
 
     fn hydrate_words(&mut self, cur: &mut WordCursor<'_>) -> Result<(), HydrateError> {
         self.counts.clear();
-        let n = cur.next_len()?;
+        let n = cur.next_count(2)?;
         self.counts.reserve(n);
         for _ in 0..n {
             let v = cur.word()?;

@@ -144,12 +144,14 @@ impl Predictor for MarkovPredictor {
             self.recent.push(cur.word()?);
         }
         self.table.clear();
-        let ctxs = cur.next_len()?;
+        // A context is at least its symbol, an option flag and a
+        // successor count; a successor is a symbol and a count.
+        let ctxs = cur.next_count(3)?;
         self.table.reserve(ctxs);
         for _ in 0..ctxs {
             let a = cur.word()?;
             let b = cur.opt()?;
-            let succs = cur.next_len()?;
+            let succs = cur.next_count(2)?;
             let mut succ = HashMap::with_capacity(succs);
             for _ in 0..succs {
                 let s = cur.word()?;

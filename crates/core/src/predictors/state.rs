@@ -65,6 +65,19 @@ impl<'a> WordCursor<'a> {
         usize::try_from(self.word()?).map_err(|_| HydrateError("length word out of range"))
     }
 
+    /// Reads an entry count whose entries take at least
+    /// `words_per_entry` words each, rejecting a count the remaining
+    /// words cannot hold. Hydrates reserve capacity from this count, so
+    /// checking it first keeps a corrupt count from asking the
+    /// allocator for more than the blob itself could describe.
+    pub fn next_count(&mut self, words_per_entry: usize) -> Result<usize, HydrateError> {
+        let n = self.next_len()?;
+        match n.checked_mul(words_per_entry) {
+            Some(words) if words <= self.remaining() => Ok(n),
+            _ => Err(HydrateError("entry count exceeds the remaining words")),
+        }
+    }
+
     /// Reads an optional word: a 0/1 flag word, then the value word
     /// when the flag is 1.
     pub fn opt(&mut self) -> Result<Option<u64>, HydrateError> {
@@ -152,5 +165,20 @@ mod tests {
         let words = [2u64];
         let mut cur = WordCursor::new(&words);
         assert!(cur.flag().is_err(), "flag word 2 is malformed");
+    }
+
+    #[test]
+    fn counts_must_fit_the_remaining_words() {
+        // Two 2-word entries fit in the four words after the count.
+        let words = [2u64, 1, 2, 3, 4];
+        assert_eq!(WordCursor::new(&words).next_count(2), Ok(2));
+        assert!(WordCursor::new(&words).next_count(3).is_err());
+        let words = [3u64, 1, 2, 3, 4];
+        assert!(WordCursor::new(&words).next_count(2).is_err());
+        // A count whose word total overflows is refused, not wrapped.
+        let words = [u64::MAX, 0];
+        assert!(WordCursor::new(&words).next_count(2).is_err());
+        let words = [0u64];
+        assert_eq!(WordCursor::new(&words).next_count(5), Ok(0));
     }
 }

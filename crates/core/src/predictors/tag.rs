@@ -66,7 +66,7 @@ impl Predictor for TagPredictor {
 
     fn hydrate_words(&mut self, cur: &mut WordCursor<'_>) -> Result<(), HydrateError> {
         self.next_of.clear();
-        let n = cur.next_len()?;
+        let n = cur.next_count(2)?;
         self.next_of.reserve(n);
         for _ in 0..n {
             let f = cur.word()?;

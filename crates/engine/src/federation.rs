@@ -18,7 +18,9 @@
 //!   ([`FederatedEngine::pin_job`]). Routing is a pure function of
 //!   `(job, pins, member count)` — never of load or timing — so a
 //!   replayed workload always lands on the same members and replays
-//!   bit-identically (`tests/federation.rs`).
+//!   bit-identically (`tests/federation.rs`). The federation never
+//!   moves a job on its own: placement is the hash plus the pins, and
+//!   a move is an explicit [`FederatedEngine::migrate_job`] call.
 //! * **Job isolation.** Keys carry their [`JobId`], so two jobs never
 //!   share a predictor, an interner slot, or a scoring counter.
 //!   Evicting or flooding job A cannot change job B's predictions or
@@ -33,7 +35,10 @@
 //!   the target, extract the source copy, repin the route — with the
 //!   job's predictions bit-identical across the cut and its per-job
 //!   clock carried along (differential-tested in
-//!   `tests/federation.rs`).
+//!   `tests/federation.rs`, for single moves and for repeated
+//!   schedules that move a job away and back). Durable federations
+//!   persist the pin table, so recovery routes a moved job back to
+//!   the member that holds it.
 //! * **Per-job operations.** [`FederatedClient::evict_job`] reclaims
 //!   one tenant across every member, [`FederatedClient::resident_jobs`]
 //!   lists live tenants, and [`FederatedClient::job_metrics`] rolls
@@ -60,7 +65,6 @@ use crate::persistent::{
     EngineClient, ObserveOutcome, PersistentEngine, RecoverError, RecoveryReport, SpawnError,
     WorkerGone,
 };
-use crate::rebalance::{MemberLoad, RebalanceConfig, RebalancePlan, Rebalancer};
 use crate::snapshot::{fnv1a, SnapshotError};
 use crate::types::{JobId, Observation, Query, RankId, StreamKey, DEFAULT_JOB};
 use mpp_telemetry::{FlightEvent, FlightKind, FlightRecorder, Histogram, TelemetrySnapshot};
@@ -69,7 +73,6 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -120,10 +123,11 @@ fn save_pins(base: &Path, pins: &HashMap<JobId, usize>) -> io::Result<()> {
 }
 
 /// Loads the persisted pin table; an absent file is an empty table. A
-/// malformed or checksum-failing file errs with `InvalidData` rather
-/// than silently dropping pins — lost pins would re-route migrated
-/// jobs to members that do not hold their state (delete `pins.bin` to
-/// accept hash routing explicitly).
+/// malformed or checksum-failing file, or one whose entries are not in
+/// the strictly ascending job order `save_pins` writes, errs with
+/// `InvalidData` rather than silently dropping pins — lost pins would
+/// re-route migrated jobs to members that do not hold their state
+/// (delete `pins.bin` to accept hash routing explicitly).
 fn load_pins(base: &Path) -> io::Result<HashMap<JobId, usize>> {
     let path = pins_path(base);
     let bytes = match fs::read(&path) {
@@ -158,9 +162,16 @@ fn load_pins(base: &Path) -> io::Result<HashMap<JobId, usize>> {
         return Err(bad("entry count does not match file length"));
     }
     let mut pins = HashMap::with_capacity(count);
+    let mut prev: Option<JobId> = None;
     for chunk in rest.chunks_exact(8) {
         let job = u32::from_le_bytes(chunk[..4].try_into().expect("4-byte job"));
         let member = u32::from_le_bytes(chunk[4..].try_into().expect("4-byte member")) as usize;
+        // `save_pins` writes strictly ascending jobs; any other order
+        // (a duplicate job above all) is not a table it wrote.
+        if prev.is_some_and(|p| job <= p) {
+            return Err(bad("entries not in strictly ascending job order"));
+        }
+        prev = Some(job);
         pins.insert(job, member);
     }
     Ok(pins)
@@ -173,12 +184,6 @@ pub struct FederationConfig {
     pub members: usize,
     /// Configuration applied to every member engine.
     pub member: EngineConfig,
-    /// Optional load-aware placement policy, applied at
-    /// [`FederatedEngine::rebalance_epoch`]: hot jobs migrate off
-    /// overloaded members (see [`crate::rebalance`]). Placement can
-    /// change latency only, never results — migration is bit-identical
-    /// across the cut.
-    pub rebalance: Option<RebalanceConfig>,
 }
 
 impl FederationConfig {
@@ -188,7 +193,6 @@ impl FederationConfig {
         FederationConfig {
             members,
             member: EngineConfig::with_shards(shards),
-            rebalance: None,
         }
     }
 
@@ -198,17 +202,8 @@ impl FederationConfig {
         self
     }
 
-    /// Enables epoch-driven load-aware placement.
-    pub fn rebalance(mut self, policy: RebalanceConfig) -> Self {
-        self.rebalance = Some(policy);
-        self
-    }
-
     fn validate(&self) {
         assert!(self.members > 0, "federation needs at least one member");
-        if let Some(policy) = &self.rebalance {
-            policy.validate();
-        }
     }
 }
 
@@ -278,12 +273,12 @@ impl std::error::Error for FederationWorkerGone {
 }
 
 /// Typed failure of [`FederatedEngine::migrate_job`] /
-/// [`FederatedEngine::try_pin_job`]. A rebalancer acting on a metrics
-/// snapshot races concurrent pins and membership views: by the time it
-/// executes a planned move the route may be stale. That is a
-/// *recoverable* condition — skip the move, replan next epoch — so it
-/// must surface as an error value, never a library panic. Every
-/// variant leaves both members' state untouched.
+/// [`FederatedEngine::try_pin_job`]. Any caller acting on a route it
+/// read earlier races concurrent pins and migrations: by the time it
+/// asks for a move the route may be stale. That is a *recoverable*
+/// condition — re-read the route and decide again — so it must surface
+/// as an error value, never a library panic. Every variant except
+/// [`MigrateError::Durability`] leaves both members' state untouched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MigrateError {
     /// A member index is outside the federation.
@@ -360,16 +355,6 @@ pub struct QuiesceReport {
     pub resident: bool,
 }
 
-/// One member's entry in an [`FederatedEngine::end_epoch`] report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochCapacity {
-    /// Member index.
-    pub member: usize,
-    /// Worst per-shard observe-lane high water the member saw this
-    /// epoch (epoch counters reset on read).
-    pub queue_high_water: u64,
-}
-
 /// Federation-level telemetry: the routing view the members cannot see.
 /// Present only when every member engine was built with telemetry
 /// enabled (heterogeneous federations disable the federation layer's
@@ -382,15 +367,6 @@ struct FedTelemetry {
     /// Federation flight ring: worker-gone sightings with job + member
     /// attribution, and job migrations.
     flight: Mutex<FlightRecorder>,
-    /// Rebalance epochs closed via
-    /// [`FederatedEngine::rebalance_epoch`].
-    rebalance_epochs: AtomicU64,
-    /// Planned migrations executed successfully.
-    rebalance_moves: AtomicU64,
-    /// Planned migrations skipped because `migrate_job` returned a
-    /// typed error (stale route, concurrent pin) — the recoverable
-    /// path the [`MigrateError`] bugfix exists for.
-    rebalance_skipped: AtomicU64,
 }
 
 impl FedTelemetry {
@@ -409,10 +385,6 @@ struct FedInner {
     /// in-memory federations and for [`FederatedEngine::from_members`]
     /// wrappers, whose members own their directories individually.
     durability: Option<PathBuf>,
-    /// Load-aware placement state; present only when configured.
-    rebalance: Option<Mutex<Rebalancer>>,
-    /// Completed epochs ([`FederatedEngine::end_epoch`]).
-    epoch: AtomicU64,
     /// Federation-level telemetry; `None` unless every member has
     /// telemetry enabled.
     telemetry: Option<FedTelemetry>,
@@ -459,7 +431,6 @@ impl std::fmt::Debug for FederatedEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FederatedEngine")
             .field("members", &self.inner.members.len())
-            .field("epoch", &self.inner.epoch.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -496,12 +467,7 @@ impl FederatedEngine {
                 );
             }
         }
-        Ok(Self::assemble(
-            members,
-            cfg.rebalance,
-            durability,
-            HashMap::new(),
-        ))
+        Ok(Self::assemble(members, durability, HashMap::new()))
     }
 
     /// Rebuilds a federation from its durability directory: recovers
@@ -551,7 +517,7 @@ impl FederatedEngine {
             )));
         }
         let pins_restored = pins.len();
-        let fed = Self::assemble(members, cfg.rebalance, Some(base), pins);
+        let fed = Self::assemble(members, Some(base), pins);
         Ok((
             fed,
             FedRecoveryReport {
@@ -570,7 +536,7 @@ impl FederatedEngine {
     /// [`FederationConfig`] for durable routing.
     pub fn from_members(members: Vec<PersistentEngine>) -> Self {
         assert!(!members.is_empty(), "federation needs at least one member");
-        Self::assemble(members, None, None, HashMap::new())
+        Self::assemble(members, None, HashMap::new())
     }
 
     /// A single-member federation over a freshly spawned engine.
@@ -580,7 +546,6 @@ impl FederatedEngine {
 
     fn assemble(
         members: Vec<PersistentEngine>,
-        rebalance: Option<RebalanceConfig>,
         durability: Option<PathBuf>,
         pins: HashMap<JobId, usize>,
     ) -> Self {
@@ -592,17 +557,12 @@ impl FederatedEngine {
                 flight: Mutex::new(FlightRecorder::new(
                     members[0].config().telemetry.flight_capacity,
                 )),
-                rebalance_epochs: AtomicU64::new(0),
-                rebalance_moves: AtomicU64::new(0),
-                rebalance_skipped: AtomicU64::new(0),
             });
         FederatedEngine {
             inner: Arc::new(FedInner {
                 members,
                 pins: RwLock::new(pins),
                 durability,
-                rebalance: rebalance.map(|cfg| Mutex::new(Rebalancer::new(cfg))),
-                epoch: AtomicU64::new(0),
                 telemetry,
             }),
         }
@@ -632,9 +592,9 @@ impl FederatedEngine {
     /// [`FederatedClient::evict_job`], which reaches every member).
     ///
     /// Errs with [`MigrateError::MemberOutOfRange`] — without touching
-    /// the pin table — when `member` is outside the federation, so
-    /// automated callers (the rebalancer) racing a stale membership
-    /// view recover instead of panicking; or with
+    /// the pin table — when `member` is outside the federation, so a
+    /// caller acting on a stale membership view recovers instead of
+    /// panicking; or with
     /// [`MigrateError::Durability`] when the federation is durable and
     /// the pin table cannot be written (the in-memory pin is applied
     /// either way — routing and its persisted record never silently
@@ -838,141 +798,6 @@ impl FederatedEngine {
     pub fn clock(&self) -> u64 {
         self.inner.members.iter().map(PersistentEngine::clock).sum()
     }
-
-    /// Completed epochs.
-    pub fn epoch(&self) -> u64 {
-        self.inner.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Closes one epoch: reads (and resets) every member's per-epoch
-    /// observe-lane high-water marks and returns one report entry per
-    /// member — the pressure signal [`FederatedEngine::rebalance_epoch`]
-    /// plans from.
-    pub fn end_epoch(&self) -> Vec<EpochCapacity> {
-        let report = self
-            .inner
-            .members
-            .iter()
-            .enumerate()
-            .map(|(i, m)| EpochCapacity {
-                member: i,
-                queue_high_water: m
-                    .take_epoch_queue_high_water()
-                    .into_iter()
-                    .max()
-                    .unwrap_or(0),
-            })
-            .collect();
-        self.inner.epoch.fetch_add(1, Ordering::Relaxed);
-        report
-    }
-
-    /// Closes one epoch *and* runs the load-aware rebalancer over it:
-    /// internally calls [`FederatedEngine::end_epoch`] (the resetting
-    /// high-water counters are read exactly once), builds a
-    /// [`crate::rebalance::RebalanceSnapshot`] from the
-    /// per-job rollups, computes the pure placement plan, and executes
-    /// it via [`FederatedEngine::quiesce_job`] →
-    /// [`FederatedEngine::migrate_job`]. A move that fails with a typed
-    /// [`MigrateError`] (stale route after a concurrent pin) is counted
-    /// as skipped and replanned next epoch — never a panic.
-    ///
-    /// Migration is bit-identical across the cut, so rebalancing can
-    /// change latency only, never predictions (golden ±0 pin in
-    /// `mpp-experiments`). Without a configured
-    /// [`FederationConfig::rebalance`] policy this degrades to plain
-    /// `end_epoch` with an empty plan.
-    pub fn rebalance_epoch(&self) -> RebalanceReport {
-        let capacities = self.end_epoch();
-        let Some(reb) = self.inner.rebalance.as_ref() else {
-            return RebalanceReport {
-                capacities,
-                plan: RebalancePlan::default(),
-                moved: 0,
-                skipped: 0,
-            };
-        };
-        let mut reb = reb.lock().expect("rebalancer lock poisoned");
-        let members: Vec<MemberLoad> = capacities
-            .iter()
-            .map(|c| MemberLoad {
-                member: c.member,
-                queue_high_water: c.queue_high_water,
-            })
-            .collect();
-        // Ensemble volatility per job (cumulative): events served by
-        // challenger champions plus champion swaps. Zero on DPD-only
-        // members.
-        let client = self.client();
-        let mix: HashMap<JobId, u64> = client
-            .job_model_stats()
-            .into_iter()
-            .map(|(job, ms)| {
-                let churn = ms.iter().skip(1).map(|m| m.champion_events).sum::<u64>()
-                    + ms.iter().map(|m| m.swaps_in).sum::<u64>();
-                (job, churn)
-            })
-            .collect();
-        let jobs: Vec<(JobId, usize, u64, u64)> = client
-            .job_metrics()
-            .into_iter()
-            .map(|(job, m)| {
-                (
-                    job,
-                    self.member_of(job),
-                    m.events_ingested,
-                    mix.get(&job).copied().unwrap_or(0),
-                )
-            })
-            .collect();
-        let snap = reb.observe_epoch(members, jobs);
-        let plan = reb.plan(&snap);
-        let (mut moved, mut skipped) = (0usize, 0usize);
-        for mv in &plan.moves {
-            // Belt and braces: migrate_job drains the source again
-            // before its snapshot, but quiescing here keeps the
-            // barrier explicit at the orchestration layer.
-            self.quiesce_job(mv.job);
-            match self.migrate_job(mv.job, mv.from, mv.to) {
-                Ok(_) => {
-                    moved += 1;
-                    reb.note_moved(mv.job, snap.epoch);
-                }
-                // Stale route (concurrent pin/migration since the
-                // snapshot): recoverable by design — skip, replan next
-                // epoch.
-                Err(_) => skipped += 1,
-            }
-        }
-        if let Some(tel) = self.inner.telemetry.as_ref() {
-            tel.rebalance_epochs.fetch_add(1, Ordering::Relaxed);
-            tel.rebalance_moves
-                .fetch_add(moved as u64, Ordering::Relaxed);
-            tel.rebalance_skipped
-                .fetch_add(skipped as u64, Ordering::Relaxed);
-        }
-        RebalanceReport {
-            capacities,
-            plan,
-            moved,
-            skipped,
-        }
-    }
-}
-
-/// Report of one [`FederatedEngine::rebalance_epoch`] call.
-#[derive(Debug, Clone)]
-pub struct RebalanceReport {
-    /// Per-member epoch report from the embedded
-    /// [`FederatedEngine::end_epoch`] close.
-    pub capacities: Vec<EpochCapacity>,
-    /// The placement plan computed for this epoch (empty when no
-    /// policy is configured or the federation is already balanced).
-    pub plan: RebalancePlan,
-    /// Planned moves executed successfully.
-    pub moved: usize,
-    /// Planned moves skipped on a typed [`MigrateError`].
-    pub skipped: usize,
 }
 
 /// Per-member, per-shard metrics snapshot of a federation.
@@ -1341,20 +1166,6 @@ impl FederatedClient {
             total.merge_histogram("route_observe_ns", snap.clone());
             total.merge_histogram(&format!("route_observe_ns_m{m}"), snap);
         }
-        if self.inner.rebalance.is_some() {
-            total.add_counter(
-                "rebalance_epochs",
-                tel.rebalance_epochs.load(Ordering::Relaxed),
-            );
-            total.add_counter(
-                "rebalance_moves",
-                tel.rebalance_moves.load(Ordering::Relaxed),
-            );
-            total.add_counter(
-                "rebalance_skipped",
-                tel.rebalance_skipped.load(Ordering::Relaxed),
-            );
-        }
         total.extend_flight(tel.flight.lock().unwrap().dump());
         total.sort_flight();
         Some(total)
@@ -1405,6 +1216,119 @@ mod tests {
         fs::write(pins_path(&dir), &flipped).unwrap();
         let err = load_pins(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Pin-table bytes for `entries` as written, in the given order,
+    /// under a correct checksum: magic, version, `count`, the pairs.
+    fn pin_bytes(count: u32, entries: &[(u32, u32)]) -> Vec<u8> {
+        let mut bytes = PINS_MAGIC.to_vec();
+        bytes.extend_from_slice(&PINS_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&count.to_le_bytes());
+        for &(job, member) in entries {
+            bytes.extend_from_slice(&job.to_le_bytes());
+            bytes.extend_from_slice(&member.to_le_bytes());
+        }
+        let sum = fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    /// Loads `bytes` as the pin table of the directory `dir`.
+    fn load_pin_bytes(dir: &Path, bytes: &[u8]) -> io::Result<HashMap<JobId, usize>> {
+        fs::create_dir_all(dir).unwrap();
+        fs::write(pins_path(dir), bytes).unwrap();
+        load_pins(dir)
+    }
+
+    fn assert_invalid(got: io::Result<HashMap<JobId, usize>>, what: &str) {
+        match got {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}"),
+            Ok(pins) => panic!("{what}: loaded {pins:?}"),
+        }
+    }
+
+    /// `save_pins` writes strictly ascending jobs, so a checksum-valid
+    /// table with a duplicate or descending job is refused rather than
+    /// letting the last entry win.
+    #[test]
+    fn pin_table_refuses_duplicate_and_descending_jobs() {
+        let dir = std::env::temp_dir().join(format!("mpp-fed-order-{}", std::process::id()));
+        let ok = load_pin_bytes(&dir, &pin_bytes(2, &[(1, 0), (3, 1)])).unwrap();
+        assert_eq!(ok, [(1, 0), (3, 1)].into_iter().collect());
+        for entries in [[(3, 1), (1, 0)], [(2, 0), (2, 1)], [(2, 1), (2, 1)]] {
+            let got = load_pin_bytes(&dir, &pin_bytes(2, &entries));
+            assert_invalid(got, &format!("{entries:?}"));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Arbitrary bytes, a bit flip at every offset, inflated counts
+    /// under a recomputed checksum and splices of two valid tables all
+    /// load as `InvalidData`.
+    #[test]
+    fn adversarial_pin_tables_are_invalid_data() {
+        let dir = std::env::temp_dir().join(format!("mpp-fed-fuzz-{}", std::process::id()));
+        let mut rng = crate::snapshot::fuzz::Rng::new(0x5eed_0201);
+        for case in 0..200 {
+            let len = rng.below(64);
+            let mut bytes = rng.bytes(len);
+            if case % 2 == 1 {
+                bytes.splice(0..0, PINS_MAGIC.iter().copied());
+            }
+            assert_invalid(load_pin_bytes(&dir, &bytes), &format!("random case {case}"));
+        }
+        let a = pin_bytes(3, &[(1, 0), (4, 1), (9, 0)]);
+        for at in 0..a.len() {
+            for bit in 0..8 {
+                let mut bad = a.clone();
+                bad[at] ^= 1 << bit;
+                assert_invalid(load_pin_bytes(&dir, &bad), &format!("byte {at} bit {bit}"));
+            }
+        }
+        for count in [4, 1 << 20, u32::MAX] {
+            let bad = pin_bytes(count, &[(1, 0), (4, 1), (9, 0)]);
+            assert_invalid(load_pin_bytes(&dir, &bad), &format!("count {count}"));
+        }
+        let b = pin_bytes(1, &[(2, 1)]);
+        for cut_a in 0..=a.len() {
+            for cut_b in 0..=b.len() {
+                let spliced = crate::snapshot::fuzz::splice(&a, cut_a, &b, cut_b);
+                if spliced != a && spliced != b {
+                    let what = format!("splice {cut_a}/{cut_b}");
+                    assert_invalid(load_pin_bytes(&dir, &spliced), &what);
+                }
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checksum-valid pin table that routes a job past the member
+    /// count makes recovery fail with `InvalidData` instead of building
+    /// a federation with a dangling route.
+    #[test]
+    fn recover_refuses_a_pin_past_the_member_count() {
+        let dir = std::env::temp_dir().join(format!("mpp-fed-pin-range-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cfg = || {
+            FederationConfig::new(2, 1).member_config(
+                EngineConfig::with_shards(1).with_durability(oplog::DurabilityConfig::new(&dir)),
+            )
+        };
+        drop(FederatedEngine::new(cfg()));
+        save_pins(&dir, &[(5, 1), (6, 2)].into_iter().collect()).unwrap();
+        match FederatedEngine::recover(cfg()) {
+            Err(RecoverError::Io(e)) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+                assert!(e.to_string().contains("job 6 to member 2"), "{e}");
+            }
+            Ok(_) => panic!("recovered a federation with a dangling route"),
+            Err(e) => panic!("expected an InvalidData I/O error, got {e}"),
+        }
+        save_pins(&dir, &[(5, 1)].into_iter().collect()).unwrap();
+        let (fed, report) = FederatedEngine::recover(cfg()).expect("in-range pins recover");
+        assert_eq!((report.pins_restored, fed.member_of(5)), (1, 1));
+        drop(fed);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1521,38 +1445,5 @@ mod tests {
         assert_eq!(f.misses, d.misses);
         assert_eq!(f.abstentions, d.abstentions);
         assert_eq!(fed.clock(), direct.clock());
-    }
-
-    #[test]
-    fn end_epoch_reports_per_member_pressure_and_resets() {
-        let fed = FederatedEngine::new(
-            FederationConfig::new(2, 1)
-                .member_config(EngineConfig::with_shards(1).with_queue_cap(8)),
-        );
-        let client = fed.client();
-        // Stall member 0's lone worker so its lane genuinely queues.
-        let busy_job = (0..8u32).find(|&j| fed.member_of(j) == 0).unwrap();
-        fed.member(0)
-            .debug_throttle_worker(0, std::time::Duration::from_millis(5));
-        for i in 0..6u64 {
-            client.observe_batch(&[Observation::new(jkey(busy_job, 0), i % 2)]);
-        }
-        fed.member(0)
-            .debug_throttle_worker(0, std::time::Duration::ZERO);
-        client.metrics_total(); // drain
-        let report = fed.end_epoch();
-        assert_eq!(report.len(), 2);
-        assert_eq!((report[0].member, report[1].member), (0, 1));
-        assert!(report[0].queue_high_water > 0, "stalled lane saw pressure");
-        assert!(report[0].queue_high_water <= 8, "bounded by the lane cap");
-        assert_eq!(report[1].queue_high_water, 0, "idle member saw none");
-        assert_eq!(fed.epoch(), 1);
-        // Epoch counters reset on read; the all-time mark does not.
-        let report = fed.end_epoch();
-        assert!(report.iter().all(|r| r.queue_high_water == 0));
-        assert_eq!(fed.epoch(), 2);
-        assert!(client.metrics_total().queue_high_water > 0);
-        train(&client, jkey(busy_job, 1), &[3, 4], 10);
-        assert_eq!(client.predict(jkey(busy_job, 1), 1), Some(3));
     }
 }

@@ -71,9 +71,9 @@
 //! * [`persistent`] — [`PersistentEngine`] / [`EngineClient`]:
 //!   persistent shard workers behind channels.
 //! * [`federation`] — [`FederatedEngine`] / [`FederatedClient`]:
-//!   multi-engine router partitioning traffic by job, with
-//!   deterministic pinning, per-job eviction/metrics across members,
-//!   and epoch-driven rebalancing.
+//!   multi-engine router partitioning traffic by job: placement is the
+//!   stable job hash overridden by explicit pins, a move is an explicit
+//!   `migrate_job` call, and eviction/metrics reach every member.
 //! * [`metrics`] — [`ShardMetrics`] / [`JobMetrics`] /
 //!   [`EngineMetrics`]: events ingested, hit/miss/abstention, period
 //!   churn, resident/evicted streams, queue depth — per shard and per
@@ -104,7 +104,6 @@ pub mod federation;
 pub mod metrics;
 pub mod oplog;
 pub mod persistent;
-pub mod rebalance;
 pub mod shard;
 pub mod snapshot;
 pub mod stream_table;
@@ -113,8 +112,8 @@ pub mod types;
 
 pub use config::{BackpressurePolicy, EngineConfig, EnsembleConfig};
 pub use federation::{
-    EpochCapacity, FedRecoveryReport, FederatedClient, FederatedEngine, FederationConfig,
-    FederationMetrics, FederationWorkerGone, MigrateError, QuiesceReport, RebalanceReport,
+    FedRecoveryReport, FederatedClient, FederatedEngine, FederationConfig, FederationMetrics,
+    FederationWorkerGone, MigrateError, QuiesceReport,
 };
 pub use metrics::{
     merge_job_model_rollups, merge_job_rollups, merge_model_stats, EngineMetrics, JobMetrics,
@@ -124,9 +123,6 @@ pub use oplog::{DurabilityConfig, FlushPolicy, WalError, WAL_MAGIC, WAL_VERSION}
 pub use persistent::{
     EngineClient, ObserveOutcome, PersistentEngine, RecoverError, RecoveryReport, SpawnError,
     WorkerGone,
-};
-pub use rebalance::{
-    JobLoad, MemberLoad, PlannedMove, RebalanceConfig, RebalancePlan, RebalanceSnapshot, Rebalancer,
 };
 pub use shard::Shard;
 pub use snapshot::{SnapshotError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};

@@ -1086,4 +1086,185 @@ mod tests {
         );
         let _ = fs::remove_dir_all(&dir);
     }
+
+    // -----------------------------------------------------------------
+    // Adversarial segments: every case scans to a typed error and keeps
+    // exactly the whole, valid frames before the damage.
+    // -----------------------------------------------------------------
+
+    /// A segment holding one frame per batch size, and each frame's
+    /// start offset followed by the segment's length.
+    fn segment(sizes: &[u64], salt: u64) -> (Vec<u8>, Vec<WalFrame>, Vec<usize>) {
+        let mut bytes = WAL_MAGIC.to_vec();
+        bytes.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        let (mut frames, mut starts, mut base) = (Vec::new(), Vec::new(), salt);
+        for &n in sizes {
+            starts.push(bytes.len());
+            let obs = batch(base, n);
+            encode_frame(&mut bytes, base, &obs);
+            frames.push(WalFrame { base, obs });
+            base += n;
+        }
+        starts.push(bytes.len());
+        (bytes, frames, starts)
+    }
+
+    fn scan_bytes(dir: &Path, bytes: &[u8]) -> SegmentScan {
+        let path = dir.join(segment_name(0));
+        fs::write(&path, bytes).unwrap();
+        scan_segment(&path).unwrap()
+    }
+
+    /// The scan of a segment damaged inside frame `k` (whose start is
+    /// `starts[k]`) keeps frames `..k` and reports the damage at
+    /// `starts[k]`.
+    fn assert_kept_before(
+        scan: &SegmentScan,
+        frames: &[WalFrame],
+        starts: &[usize],
+        k: usize,
+        what: &str,
+    ) {
+        assert_eq!(scan.frames, frames[..k], "{what}: frames kept");
+        assert_eq!(scan.valid_len, starts[k] as u64, "{what}: valid prefix");
+        assert!(
+            matches!(
+                &scan.error,
+                Some(WalError::TornFrame { offset, .. } | WalError::ChecksumMismatch { offset, .. })
+                    if *offset == starts[k] as u64
+            ),
+            "{what}: {:?}",
+            scan.error
+        );
+    }
+
+    /// Byte strings with no structure, the same after a valid header,
+    /// and random payloads under a frame whose length and checksum are
+    /// right: the scan reports a defect and keeps no frame.
+    #[test]
+    fn arbitrary_bytes_scan_to_a_typed_defect() {
+        let dir = tmpdir("fuzz-bytes");
+        let mut rng = crate::snapshot::fuzz::Rng::new(0x5eed_0101);
+        let (header, ..) = segment(&[], 0);
+        for case in 0..300 {
+            let len = rng.below(256);
+            let random = rng.bytes(len);
+            let bytes = match case % 3 {
+                0 => random,
+                1 => [header.clone(), random].concat(),
+                _ => {
+                    let mut bytes = header.clone();
+                    bytes.extend_from_slice(&(random.len() as u32).to_le_bytes());
+                    bytes.extend_from_slice(&random);
+                    bytes.extend_from_slice(&fnv1a(&random).to_le_bytes());
+                    bytes
+                }
+            };
+            let scan = scan_bytes(&dir, &bytes);
+            assert!(scan.error.is_some(), "case {case}: a defect is reported");
+            assert!(scan.frames.is_empty(), "case {case}: no frame is invented");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Flipping any one bit of a valid segment keeps exactly the frames
+    /// before the flipped one; a flip in the header keeps none.
+    #[test]
+    fn a_bit_flip_anywhere_keeps_exactly_the_frames_before_it() {
+        let dir = tmpdir("fuzz-flip");
+        let (bytes, frames, starts) = segment(&[1, 3, 2, 5], 0);
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut bad = bytes.clone();
+                bad[at] ^= 1 << bit;
+                let scan = scan_bytes(&dir, &bad);
+                let what = format!("byte {at} bit {bit}");
+                if at < WAL_HEADER_LEN as usize {
+                    assert!(scan.frames.is_empty(), "{what}");
+                    assert!(
+                        matches!(
+                            scan.error,
+                            Some(WalError::BadMagic { .. } | WalError::VersionMismatch { .. })
+                        ),
+                        "{what}: {:?}",
+                        scan.error
+                    );
+                } else {
+                    let k = starts.iter().rposition(|&s| s <= at).unwrap();
+                    assert_kept_before(&scan, &frames, &starts, k, &what);
+                }
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A frame's length prefix or event count inflated (the count with
+    /// its checksum recomputed) ends the scan at that frame, with the
+    /// frames before it kept.
+    #[test]
+    fn inflated_length_and_count_fields_are_typed() {
+        let dir = tmpdir("fuzz-inflate");
+        let (bytes, frames, starts) = segment(&[2, 4, 3], 0);
+        for k in 0..frames.len() {
+            let at = starts[k];
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+            for inflated in [len + 1, len + 1000, u32::MAX] {
+                let mut bad = bytes.clone();
+                bad[at..at + 4].copy_from_slice(&inflated.to_le_bytes());
+                let scan = scan_bytes(&dir, &bad);
+                assert_kept_before(
+                    &scan,
+                    &frames,
+                    &starts,
+                    k,
+                    &format!("frame {k} length {inflated}"),
+                );
+            }
+            let payload = at + 4..at + 4 + len as usize;
+            for count in [frames[k].obs.len() as u32 + 1, u32::MAX] {
+                let mut bad = bytes.clone();
+                bad[payload.start + 8..payload.start + 12].copy_from_slice(&count.to_le_bytes());
+                let sum = fnv1a(&bad[payload.clone()]);
+                bad[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+                let scan = scan_bytes(&dir, &bad);
+                assert_kept_before(
+                    &scan,
+                    &frames,
+                    &starts,
+                    k,
+                    &format!("frame {k} count {count}"),
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Two valid segments spliced at any pair of offsets: the scan
+    /// keeps every whole frame of the first before the cut, and any
+    /// frame it keeps past the cut is a whole frame of the second.
+    #[test]
+    fn spliced_segments_keep_only_whole_valid_frames() {
+        let dir = tmpdir("fuzz-splice");
+        let (a, a_frames, a_starts) = segment(&[3, 1, 4, 2], 0);
+        let (b, b_frames, _) = segment(&[2, 5, 1], 1000);
+        let mut rng = crate::snapshot::fuzz::Rng::new(0x5eed_0102);
+        for case in 0..200 {
+            let (cut_a, cut_b) = (rng.below(a.len() + 1), rng.below(b.len() + 1));
+            let spliced = crate::snapshot::fuzz::splice(&a, cut_a, &b, cut_b);
+            let scan = scan_bytes(&dir, &spliced);
+            assert!(scan.valid_len as usize <= spliced.len(), "case {case}");
+            if cut_a < WAL_HEADER_LEN as usize {
+                continue;
+            }
+            let whole = a_starts[1..].iter().filter(|&&end| end <= cut_a).count();
+            assert_eq!(scan.frames[..whole], a_frames[..whole], "case {case}");
+            for f in &scan.frames[whole..] {
+                assert!(
+                    b_frames.contains(f),
+                    "case {case}: {f:?} is not a frame of either file"
+                );
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

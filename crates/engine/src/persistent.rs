@@ -278,21 +278,13 @@ struct LaneStats {
     queue_high_water: AtomicU64,
     send_blocked: AtomicU64,
     shed_events: AtomicU64,
-    /// High-water mark since the last epoch read
-    /// ([`PersistentEngine::take_epoch_queue_high_water`]); unlike
-    /// `queue_high_water` this one resets, so epochs see their own
-    /// pressure rather than an all-time maximum. Sampled on observe
-    /// legs only — queries ride the same lane but are re-plan-rate,
-    /// not ingest pressure, and must not inflate the capacity signal.
-    epoch_high_water: AtomicU64,
 }
 
 impl LaneStats {
-    /// Samples the lane length after an observe-leg enqueue into both
-    /// the all-time and the per-epoch high-water marks.
-    fn note_observe_high_water(&self, len: u64) {
+    /// Samples the lane length after an enqueue into the all-time
+    /// high-water mark.
+    fn note_high_water(&self, len: u64) {
         self.queue_high_water.fetch_max(len, Ordering::Relaxed);
-        self.epoch_high_water.fetch_max(len, Ordering::Relaxed);
     }
 }
 
@@ -766,18 +758,6 @@ impl PersistentEngine {
         self.inner.clock.load(Ordering::Relaxed)
     }
 
-    /// Per-shard observe-lane high-water marks accumulated since the
-    /// previous call, resetting the epoch counters to zero — the
-    /// pressure signal the federation's rebalancer reads between
-    /// epochs. The all-time `queue_high_water` metric is unaffected.
-    pub fn take_epoch_queue_high_water(&self) -> Vec<u64> {
-        self.inner
-            .lanes
-            .iter()
-            .map(|l| l.epoch_high_water.swap(0, Ordering::Relaxed))
-            .collect()
-    }
-
     /// Rebuilds a running engine from an [`EngineClient::snapshot`]
     /// blob: spawns the workers, seeds the global clock and the per-job
     /// clock registry, then ships each worker its shard's serialized
@@ -1081,7 +1061,7 @@ impl EngineClient {
         };
         let cmd = match tx.try_send(cmd) {
             Ok(()) => {
-                lane.note_observe_high_water(tx.len() as u64);
+                lane.note_high_water(tx.len() as u64);
                 return Ok(true);
             }
             Err(TrySendError::Disconnected(_)) => {
@@ -1114,7 +1094,7 @@ impl EngineClient {
                         b: blocked,
                     });
                 }
-                lane.note_observe_high_water(tx.len() as u64);
+                lane.note_high_water(tx.len() as u64);
                 Ok(true)
             }
             BackpressurePolicy::Shed => {
@@ -1286,10 +1266,7 @@ impl EngineClient {
             let reply = self.reply_tx.clone();
             tx.send(ShardCmd::Query { epoch, reply, run })
                 .map_err(|_| WorkerGone { shard })?;
-            // Queries sample the all-time mark only (see `epoch_high_water`).
-            self.inner.lanes[shard]
-                .queue_high_water
-                .fetch_max(tx.len() as u64, Ordering::Relaxed);
+            self.inner.lanes[shard].note_high_water(tx.len() as u64);
             asked.push((shard, None));
         }
         let mut pending = asked.len();

@@ -280,6 +280,44 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Seeded inputs for the adversarial decode tests of every on-disk
+/// format (snapshots, observation-log segments, the pin table).
+#[cfg(test)]
+pub(crate) mod fuzz {
+    /// SplitMix64, so every case reproduces from its seed.
+    pub(crate) struct Rng(u64);
+
+    impl Rng {
+        pub(crate) fn new(seed: u64) -> Self {
+            Rng(seed)
+        }
+
+        pub(crate) fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `0..n`; `n` must be positive.
+        pub(crate) fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        pub(crate) fn bytes(&mut self, n: usize) -> Vec<u8> {
+            (0..n).map(|_| self.next() as u8).collect()
+        }
+    }
+
+    /// `a` up to `cut_a`, then `b` from `cut_b`.
+    pub(crate) fn splice(a: &[u8], cut_a: usize, b: &[u8], cut_b: usize) -> Vec<u8> {
+        let mut out = a[..cut_a].to_vec();
+        out.extend_from_slice(&b[cut_b..]);
+        out
+    }
+}
+
 // ---------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------
@@ -576,6 +614,22 @@ impl<'a> Reader<'a> {
         Ok(self.u32()? as usize)
     }
 
+    /// Reads the scope byte, requiring `want`. The other scope is a
+    /// config mismatch that says which scope was found; any other byte
+    /// is malformed.
+    fn scope(&mut self, want: u8) -> Result<(), SnapshotError> {
+        match self.u8()? {
+            s if s == want => Ok(()),
+            SCOPE_ENGINE => Err(SnapshotError::ConfigMismatch(
+                "whole-engine snapshot where a job-scoped snapshot was expected".into(),
+            )),
+            SCOPE_JOB => Err(SnapshotError::ConfigMismatch(
+                "job-scoped snapshot where a whole-engine snapshot was expected".into(),
+            )),
+            _ => Err(SnapshotError::Malformed("scope tag out of range")),
+        }
+    }
+
     fn u64_vec(&mut self) -> Result<Vec<u64>, SnapshotError> {
         let n = self.len()?;
         let mut out = Vec::with_capacity(n.min(1 << 16));
@@ -824,11 +878,7 @@ pub(crate) fn decode_engine(bytes: &[u8]) -> Result<EngineSnapshot, SnapshotErro
         pos: 0,
         base: PAYLOAD_BASE,
     };
-    if r.u8()? != SCOPE_ENGINE {
-        return Err(SnapshotError::ConfigMismatch(
-            "job-scoped snapshot where a whole-engine snapshot was expected".into(),
-        ));
-    }
+    r.scope(SCOPE_ENGINE)?;
     let shards = r.u32()?;
     let ttl = r.opt_u64()?;
     let dpd = r.dpd()?;
@@ -875,11 +925,7 @@ pub(crate) fn decode_job(bytes: &[u8]) -> Result<JobSnapshot, SnapshotError> {
         pos: 0,
         base: PAYLOAD_BASE,
     };
-    if r.u8()? != SCOPE_JOB {
-        return Err(SnapshotError::ConfigMismatch(
-            "whole-engine snapshot where a job-scoped snapshot was expected".into(),
-        ));
-    }
+    r.scope(SCOPE_JOB)?;
     let job = r.u32()?;
     let ttl = r.opt_u64()?;
     let dpd = r.dpd()?;
@@ -1049,6 +1095,13 @@ fn check_stream(
     if p.history_total < p.history.len() as u64 {
         return Err(SnapshotError::Malformed(
             "dpd history is longer than its lifetime push count",
+        ));
+    }
+    // The predictor subtracts its last change stamp from its
+    // observation count.
+    if p.last_change_at > p.obs_seen {
+        return Err(SnapshotError::Malformed(
+            "dpd last period change is past its observation count",
         ));
     }
     let mut interner = SymbolMap::new();
@@ -1375,9 +1428,15 @@ mod tests {
     /// and 2 on four ranks each, and its config.
     fn trained_engine() -> (EngineConfig, EngineClient) {
         let cfg = EngineConfig::with_shards(2).with_ensemble(EnsembleConfig::standard());
-        let eng = PersistentEngine::new(cfg.clone()).client();
+        (cfg.clone(), trained(cfg, 300))
+    }
+
+    /// An engine built from `cfg` that has ingested `steps` events on
+    /// each of four ranks of jobs 1 and 2.
+    fn trained(cfg: EngineConfig, steps: u64) -> EngineClient {
+        let eng = PersistentEngine::new(cfg).client();
         let mut batch = Vec::new();
-        for i in 0..300u64 {
+        for i in 0..steps {
             for job in [1, 2] {
                 for rank in 0..4u32 {
                     let key = StreamKey::for_job(job, rank, StreamKind::Sender);
@@ -1386,7 +1445,7 @@ mod tests {
             }
         }
         eng.observe_batch(&batch);
-        (cfg, eng)
+        eng
     }
 
     /// Spoils job 1's stream records with `spoil`, which gets the list
@@ -1491,10 +1550,17 @@ mod tests {
     #[test]
     fn restore_rejects_records_that_contradict_themselves() {
         type Spoil = dyn Fn(&mut Vec<StreamState>, usize);
-        let cases: [(&str, &Spoil); 3] = [
+        let cases: [(&str, &Spoil); 4] = [
             (
                 "dpd history is longer than its lifetime push count",
                 &|streams, i| streams[i].predictor.history_total = 0,
+            ),
+            (
+                "dpd last period change is past its observation count",
+                &|streams, i| {
+                    let p = &mut streams[i].predictor;
+                    p.last_change_at = p.obs_seen + 1;
+                },
             ),
             ("stream interns a symbol twice", &|streams, i| {
                 let s = &mut streams[i];
@@ -1562,5 +1628,331 @@ mod tests {
             let bad = with_tag_at_first_difference(&a, &b, tag);
             assert_eq!(decode_engine(&bad), Err(SnapshotError::Malformed(msg)));
         }
+        // The scope byte opens the payload: the other scope names
+        // itself, any byte past both is malformed.
+        for tag in [2, 7, u8::MAX] {
+            let mut payload = payload_of(&encode_engine(&snap)).to_vec();
+            payload[0] = tag;
+            let bad = frame(payload);
+            let malformed = Err(SnapshotError::Malformed("scope tag out of range"));
+            assert_eq!(decode_engine(&bad), malformed);
+            assert_eq!(decode_job(&bad).map(drop), malformed.map(drop));
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Adversarial inputs: every case is a typed error, never a panic or
+    // an allocation sized by an unchecked field.
+    // -----------------------------------------------------------------
+
+    fn payload_of(bytes: &[u8]) -> &[u8] {
+        &bytes[PAYLOAD_BASE..bytes.len() - 8]
+    }
+
+    /// Restores `bytes` at the given scope and, if the snapshot is
+    /// accepted, serves every kind of call from the restored state:
+    /// observe, predict, forecast, sweep, `evict_lru` and snapshot.
+    /// Engine scope restores into a new engine; job scope into a fresh
+    /// engine built from `cfg`.
+    fn restore_and_serve(
+        cfg: &EngineConfig,
+        job_scope: bool,
+        bytes: &[u8],
+    ) -> Result<(), SnapshotError> {
+        let engine = if job_scope {
+            let engine = PersistentEngine::new(cfg.clone());
+            engine.client().restore_job(bytes)?;
+            engine
+        } else {
+            PersistentEngine::restore(cfg.clone(), bytes)?
+        };
+        let client = engine.client();
+        let batch: Vec<Observation> = (0..40u64)
+            .map(|i| {
+                Observation::new(
+                    StreamKey::for_job(1, (i % 4) as u32, StreamKind::Sender),
+                    i % 3,
+                )
+            })
+            .collect();
+        client.observe_batch(&batch);
+        let mut out = Vec::new();
+        for rank in 0..4 {
+            client.predict(StreamKey::for_job(2, rank, StreamKind::Sender), 2);
+            client.forecast_messages_for_job(1, rank, 4, &mut out);
+        }
+        client.sweep_expired();
+        client.evict_lru(2);
+        decode_engine(&client.snapshot()).expect("a served engine snapshots cleanly");
+        Ok(())
+    }
+
+    /// The words of job 1's first stream's challenger of `kind`.
+    fn challenger_words<'a>(
+        streams: &'a mut [StreamState],
+        roster: &EnsembleConfig,
+        kind: PredictorKind,
+    ) -> &'a mut Vec<u64> {
+        let at = roster
+            .challengers
+            .iter()
+            .position(|&k| k == kind)
+            .expect("the roster has the challenger");
+        let stream = streams
+            .iter_mut()
+            .find(|s| s.key.job == 1)
+            .expect("job 1 has streams");
+        &mut stream.ensemble.as_mut().expect("ensemble on").members[at].words
+    }
+
+    /// A checksum-valid snapshot whose challenger state claims more
+    /// entries than its words hold is refused before any capacity is
+    /// reserved: Markov's context and successor counts, the frequency
+    /// table's and the tag table's entry counts, at engine and job
+    /// scope.
+    #[test]
+    fn inflated_challenger_counts_are_malformed() {
+        let cfg = EngineConfig::with_shards(2).with_ensemble(EnsembleConfig::full());
+        let eng = trained(cfg.clone(), 120);
+        type Locate = fn(&[u64]) -> usize;
+        let cases: [(PredictorKind, Locate); 4] = [
+            // order, recent length, recent symbols, then the count.
+            (PredictorKind::Markov1, |w| 2 + w[1] as usize),
+            // The first context: symbol, option flag (and value), then
+            // its successor count.
+            (PredictorKind::Markov1, |w| {
+                let flag = 2 + w[1] as usize + 2;
+                flag + 1 + w[flag] as usize
+            }),
+            (PredictorKind::Frequency, |_| 0),
+            (PredictorKind::Tag, |_| 0),
+        ];
+        let roster = &cfg.ensemble;
+        for (kind, locate) in cases {
+            for count in [1u64 << 32, u64::MAX] {
+                let want = Err(SnapshotError::Malformed(
+                    "challenger state does not hydrate",
+                ));
+
+                let mut snap = decode_engine(&eng.snapshot()).unwrap();
+                let streams = snap
+                    .shard_states
+                    .iter_mut()
+                    .find(|st| st.streams.iter().any(|s| s.key.job == 1))
+                    .map(|st| &mut st.streams)
+                    .expect("job 1 has streams");
+                let words = challenger_words(streams, roster, kind);
+                let at = locate(words);
+                words[at] = count;
+                assert_eq!(restore_and_serve(&cfg, false, &encode_engine(&snap)), want);
+
+                let mut job = decode_job(&eng.snapshot_job(1)).unwrap();
+                let words = challenger_words(&mut job.streams, roster, kind);
+                let at = locate(words);
+                words[at] = count;
+                assert_eq!(restore_and_serve(&cfg, true, &encode_job(&job)), want);
+            }
+        }
+    }
+
+    /// Byte strings with no structure, some opening with a valid
+    /// magic and version so the frame check gets further, and random
+    /// payloads under a frame whose length and checksum are right.
+    #[test]
+    fn arbitrary_bytes_are_typed_errors() {
+        let mut rng = fuzz::Rng::new(0x5eed_0001);
+        let mut head = SNAPSHOT_MAGIC.to_vec();
+        head.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        for case in 0..300 {
+            let len = rng.below(512);
+            let mut bytes = rng.bytes(len);
+            if case % 3 == 1 {
+                bytes.splice(0..0, head.iter().copied());
+            } else if case % 3 == 2 {
+                bytes = frame(bytes);
+            }
+            assert!(decode_engine(&bytes).is_err(), "case {case}");
+            assert!(decode_job(&bytes).is_err(), "case {case}");
+        }
+    }
+
+    /// Flipping any one bit of a valid file, engine or job scope, is
+    /// caught by the frame: bad magic, version, length or checksum.
+    #[test]
+    fn every_single_bit_flip_is_a_typed_frame_error() {
+        type Decode = fn(&[u8]) -> Result<(), SnapshotError>;
+        let engine = encode_engine(&sample_engine_snapshot());
+        let job = trained(EngineConfig::with_shards(2), 20).snapshot_job(1);
+        let files: [(&str, &[u8], Decode); 2] = [
+            ("engine", &engine, |b| decode_engine(b).map(drop)),
+            ("job", &job, |b| decode_job(b).map(drop)),
+        ];
+        for (name, bytes, decode) in files {
+            for at in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut bad = bytes.to_vec();
+                    bad[at] ^= 1 << bit;
+                    let got = decode(&bad);
+                    assert!(
+                        matches!(
+                            got,
+                            Err(SnapshotError::BadMagic
+                                | SnapshotError::VersionMismatch { .. }
+                                | SnapshotError::Truncated { .. }
+                                | SnapshotError::TrailingBytes { .. }
+                                | SnapshotError::ChecksumMismatch { .. })
+                        ),
+                        "{name} byte {at} bit {bit}: {got:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The frame's payload length and every count in the payload,
+    /// inflated with the checksum recomputed, end in a typed error.
+    /// Each count is found as the first payload difference between the
+    /// sample and a copy with one more element in that list.
+    #[test]
+    fn inflated_length_and_count_fields_are_typed() {
+        let snap = sample_engine_snapshot();
+        let good = encode_engine(&snap);
+        for len in [payload_of(&good).len() as u64 + 1, 1 << 40, u64::MAX] {
+            let mut bad = good.clone();
+            bad[12..20].copy_from_slice(&len.to_le_bytes());
+            assert!(
+                matches!(decode_engine(&bad), Err(SnapshotError::Truncated { .. })),
+                "payload length {len}"
+            );
+        }
+        type Grow = fn(&mut EngineSnapshot);
+        let grows: [(&str, Grow); 10] = [
+            ("challenger roster", |s| {
+                s.ensemble.challengers.push(PredictorKind::Stride)
+            }),
+            ("job clocks", |s| s.job_clocks.push((3, 1))),
+            ("shard states", |s| {
+                s.shard_states.push(s.shard_states[1].clone())
+            }),
+            ("shard jobs", |s| {
+                s.shard_states[0].jobs.push((3, JobMetrics::default(), 0))
+            }),
+            ("model stats", |s| {
+                s.shard_states[0].model_stats.push(ModelStats::default())
+            }),
+            ("streams", |s| {
+                let twin = s.shard_states[0].streams[0].clone();
+                s.shard_states[0].streams.push(twin);
+            }),
+            ("symbols", |s| s.shard_states[0].streams[0].symbols.push(9)),
+            ("history", |s| {
+                s.shard_states[0].streams[0].predictor.history.push(0)
+            }),
+            ("window hits", |s| {
+                let ens = s.shard_states[0].streams[0].ensemble.as_mut().unwrap();
+                ens.window_hits.push(0);
+            }),
+            ("member words", |s| {
+                let ens = s.shard_states[0].streams[0].ensemble.as_mut().unwrap();
+                ens.members[0].words.push(0);
+            }),
+        ];
+        for (name, grow) in grows {
+            let mut other = snap.clone();
+            grow(&mut other);
+            let (a, b) = (payload_of(&good), encode_engine(&other));
+            let at = a
+                .iter()
+                .zip(payload_of(&b))
+                .position(|(x, y)| x != y)
+                .expect("the payloads differ");
+            for count in [u32::MAX, 1 << 24] {
+                let mut payload = a.to_vec();
+                payload[at..at + 4].copy_from_slice(&count.to_le_bytes());
+                let got = decode_engine(&frame(payload));
+                assert!(
+                    matches!(
+                        got,
+                        Err(SnapshotError::Truncated { .. } | SnapshotError::Malformed(_))
+                    ),
+                    "{name} count {count}: {got:?}"
+                );
+            }
+        }
+    }
+
+    /// Two valid files spliced: the frame refuses the raw splice, and
+    /// a splice of payloads under a recomputed frame either fails
+    /// typed or restores an engine that serves.
+    #[test]
+    fn spliced_snapshots_are_typed_errors() {
+        let cfg = EngineConfig::with_shards(2).with_ensemble(EnsembleConfig::standard());
+        let eng = trained(cfg.clone(), 40);
+        let a = eng.snapshot();
+        let b = {
+            eng.observe_batch(&[Observation::new(
+                StreamKey::for_job(2, 1, StreamKind::Tag),
+                5,
+            )]);
+            eng.snapshot()
+        };
+        let mut rng = fuzz::Rng::new(0x5eed_0002);
+        for case in 0..40 {
+            let (cut_a, cut_b) = (rng.below(a.len()), rng.below(b.len()));
+            let raw = fuzz::splice(&a, cut_a, &b, cut_b);
+            if raw != a && raw != b {
+                assert!(decode_engine(&raw).is_err(), "case {case}: raw splice");
+            }
+            let (pa, pb) = (payload_of(&a), payload_of(&b));
+            let (cut_a, cut_b) = (rng.below(pa.len()), rng.below(pb.len()));
+            let reframed = frame(fuzz::splice(pa, cut_a, pb, cut_b));
+            // Accepted or refused, the call returns a value.
+            let _ = restore_and_serve(&cfg, false, &reframed);
+        }
+    }
+
+    /// Snapshots with one to three payload bytes changed and the
+    /// checksum recomputed, at engine and job scope, DPD-only and with
+    /// the standard and full rosters, TTL off and on: each restore
+    /// either fails with a typed error or yields an engine that serves
+    /// every kind of call without a panic.
+    #[test]
+    fn mutated_snapshots_fail_typed_or_restore_and_serve() {
+        let mut rng = fuzz::Rng::new(0x5eed_0003);
+        let rosters = [
+            EnsembleConfig::default(),
+            EnsembleConfig::standard(),
+            EnsembleConfig::full(),
+        ];
+        let (mut accepted, mut refused) = (0, 0);
+        for ensemble in rosters {
+            for ttl in [None, Some(30)] {
+                let cfg = EngineConfig {
+                    ttl,
+                    ..EngineConfig::with_shards(2).with_ensemble(ensemble.clone())
+                };
+                let eng = trained(cfg.clone(), 60);
+                for (job_scope, good) in [(false, eng.snapshot()), (true, eng.snapshot_job(1))] {
+                    let payload = payload_of(&good);
+                    for _ in 0..25 {
+                        let mut bad = payload.to_vec();
+                        for _ in 0..1 + rng.below(3) {
+                            let at = rng.below(bad.len());
+                            bad[at] = rng.next() as u8;
+                        }
+                        match restore_and_serve(&cfg, job_scope, &frame(bad)) {
+                            Ok(()) => accepted += 1,
+                            Err(_) => refused += 1,
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(accepted + refused, 300);
+        assert!(
+            accepted > 0,
+            "some mutations restore, and their engines serve"
+        );
+        assert!(refused > 0, "some mutations reach the decoder's checks");
     }
 }

@@ -18,7 +18,8 @@
 //!   mid-workload — snapshot, restore, extract, repin — leaves its
 //!   predictions and scoring rollup bit-identical to a run that never
 //!   migrated, moves its residency wholesale, and leaves every other
-//!   job untouched.
+//!   job untouched. The same holds for a schedule of many moves: jobs
+//!   moved repeatedly, onto their own member, and back home again.
 //! * **Chaos: dead member workers fail loudly with attribution.** A
 //!   killed shard worker inside one member surfaces
 //!   [`FederationWorkerGone`] naming the job, member and shard, while
@@ -95,7 +96,6 @@ proptest! {
         let fed = FederatedEngine::new(FederationConfig {
             members,
             member: member_cfg.clone(),
-            rebalance: None,
         });
         // Exercise the explicit pinning API: one job is pinned to an
         // arbitrary member before any traffic flows.
@@ -202,7 +202,6 @@ proptest! {
         let fed_of = || FederatedEngine::new(FederationConfig {
             members,
             member: member_cfg.clone(),
-            rebalance: None,
         });
         let control = fed_of();
         let trial = fed_of();
@@ -321,11 +320,11 @@ fn migrating_between_incompatible_members_fails_cleanly() {
     assert_eq!(client.predict(key, 1), before);
 }
 
-/// The stale-route regression pin: a rebalancer acting on an outdated
-/// metrics snapshot (the route moved under it — concurrent pin,
-/// earlier migration) must get a *recoverable* typed error, never a
-/// library panic, and the failed call must leave both members exactly
-/// as they were.
+/// The stale-route regression pin: a caller acting on a route it read
+/// earlier (the route moved under it — concurrent pin, earlier
+/// migration) must get a *recoverable* typed error, never a library
+/// panic, and the failed call must leave both members exactly as they
+/// were.
 #[test]
 fn migrating_from_a_stale_route_returns_not_serving_with_members_untouched() {
     let fed = FederatedEngine::new(FederationConfig::new(2, 2));
@@ -473,56 +472,88 @@ fn flushed_events_survive_migration_under_concurrent_other_job_ingest() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The rebalancer acceptance property: interleaving
-    /// `rebalance_epoch` calls (aggressive policy — zero headroom, no
-    /// dwell, several moves per epoch) into a K-job workload leaves
-    /// every prediction and per-job rollup bit-identical to the same
-    /// workload with rebalancing disabled. Placement changes latency,
-    /// never results.
+    /// Repeated migration is invisible: a schedule of moves between
+    /// chunks — random jobs to random members, self-moves included,
+    /// and one job always sent away and back to the member it started
+    /// on — leaves every prediction and per-job rollup bit-identical to
+    /// a federation that never migrates, with or without a TTL.
     #[test]
-    fn rebalanced_epochs_are_bit_identical_to_never_rebalancing(
+    fn migration_schedules_are_bit_identical_to_never_migrating(
         raw in prop::collection::vec((0u32..RANKS, 0u8..3, 0u64..6), 1..160),
-        jobs in 2u32..5,
+        jobs in 1u32..4,
         members in 2usize..4,
         shards in 1usize..3,
-        epoch_every in 1usize..5,
+        schedule in prop::collection::vec((0u32..8, 0usize..3), 0..8),
+        ttl_sel in 0u64..40,
     ) {
+        let ttl = if ttl_sel < 15 { None } else { Some(ttl_sel) };
         let dpd = DpdConfig { window: 48, max_lag: 16, ..DpdConfig::default() };
         let member_cfg = EngineConfig {
             shards,
             dpd,
-            ttl: None,
+            ttl,
             ..EngineConfig::default()
         };
-        let control = FederatedEngine::new(FederationConfig {
+        let fed_of = || FederatedEngine::new(FederationConfig {
             members,
             member: member_cfg.clone(),
-            rebalance: None,
         });
-        let trial = FederatedEngine::new(FederationConfig {
-            members,
-            member: member_cfg.clone(),
-            rebalance: Some(mpp_engine::RebalanceConfig {
-                headroom: 0,
-                max_moves_per_epoch: 4,
-                min_dwell_epochs: 0,
-            }),
-        });
+        let control = fed_of();
+        let trial = fed_of();
         let ctl = control.client();
         let tri = trial.client();
+
+        // The random moves, then job 0 away from its first member and
+        // back: every schedule moves one job at least twice and returns
+        // it home.
+        let home = trial.member_of(0);
+        let mut moves: Vec<(JobId, usize)> = schedule
+            .iter()
+            .map(|&(j, m)| (j % jobs, m % members))
+            .collect();
+        moves.push((0, (home + 1) % members));
+        moves.push((0, home));
 
         let events: Vec<Observation> = raw
             .iter()
             .flat_map(|&(r, k, v)| (0..jobs).map(move |j| job_variant(j, r, k, v)))
             .collect();
-        for (i, chunk) in events.chunks(13).enumerate() {
-            ctl.observe_batch(chunk);
-            tri.observe_batch(chunk);
-            if i % epoch_every == 0 {
-                trial.rebalance_epoch();
+        let chunks: Vec<&[Observation]> = events.chunks(7).collect();
+        let mut sent = 0;
+        for (k, &(job, to)) in moves.iter().enumerate() {
+            // Move k runs after chunk k·chunks/moves, so the moves
+            // spread over the workload (several after one chunk when
+            // they outnumber the chunks).
+            let upto = k * chunks.len() / moves.len() + 1;
+            for chunk in &chunks[sent..upto] {
+                ctl.observe_batch(chunk);
+                tri.observe_batch(chunk);
+            }
+            sent = upto;
+            let from = trial.member_of(job);
+            let moved = trial
+                .migrate_job(job, from, to)
+                .expect("identically configured members must accept the snapshot");
+            prop_assert_eq!(trial.member_of(job), to, "route follows the move");
+            if from == to {
+                prop_assert_eq!(moved, 0, "self-migration is a no-op");
+            } else {
+                prop_assert!(
+                    !trial.member(from).client().resident_jobs().contains(&job),
+                    "no remnant on the source"
+                );
+                prop_assert_eq!(
+                    trial.member(to).client().resident_jobs().contains(&job),
+                    moved > 0,
+                    "moved streams are resident on the target"
+                );
             }
         }
-        trial.rebalance_epoch();
+        for chunk in &chunks[sent..] {
+            ctl.observe_batch(chunk);
+            tri.observe_batch(chunk);
+        }
+        prop_assert_eq!(trial.member_of(0), home, "job 0 ends on its first member");
 
         let mut queries = Vec::new();
         for j in 0..jobs {
@@ -537,19 +568,24 @@ proptest! {
         let (mut want, mut got) = (Vec::new(), Vec::new());
         ctl.predict_batch(&queries, &mut want);
         tri.predict_batch(&queries, &mut got);
-        prop_assert_eq!(&got, &want, "rebalancing changed a prediction");
+        prop_assert_eq!(&got, &want, "a migration schedule changed a prediction");
 
         // Rollups match modulo the migration layout detail
         // (`predictions_served` counts on shards that ingested the
-        // job; migration plants history on the target's shard 0).
+        // job; migration plants history on the target's shard 0). The
+        // reclamation counters (`evicted`, `resident_streams`) follow
+        // sweep progress, which depends on which shards a job's traffic
+        // reached, so both sides sweep to the same point first.
         let normalize = |mut rolls: Vec<(JobId, mpp_engine::JobMetrics)>| {
             for (_, m) in &mut rolls { m.predictions_served = 0; }
             rolls
         };
+        ctl.sweep_expired();
+        tri.sweep_expired();
         prop_assert_eq!(
             normalize(ctl.job_metrics()),
             normalize(tri.job_metrics()),
-            "rebalancing changed a job rollup"
+            "a migration schedule changed a job rollup"
         );
         prop_assert_eq!(
             ctl.metrics_total().events_ingested,
@@ -739,8 +775,8 @@ fn dead_member_worker_attributes_job_and_member_and_spares_other_jobs() {
 /// typed. Draining twice is a no-op barrier reporting the same route,
 /// and quiescing a job the federation has never seen drains its
 /// hash-routed member and reports `resident: false` — orchestration
-/// code (the rebalancer, operators scripting migrations) can call it
-/// defensively without special-casing.
+/// code (operators scripting migrations) can call it defensively
+/// without special-casing.
 #[test]
 fn quiesce_job_is_idempotent_and_reports_residency() {
     let fed = FederatedEngine::new(FederationConfig::new(2, 2));

@@ -7,7 +7,7 @@
 //! cargo run -p mpp-experiments --release --bin engine_replay -- \
 //!     [--csv] [--seed N] [--shards K] [--ttl N] \
 //!     [--queue-cap N] [--backpressure block|shed] \
-//!     [--jobs K] [--engines E] [--ensemble] [--ensemble-full] [--rebalance] \
+//!     [--jobs K] [--engines E] [--ensemble] [--ensemble-full] \
 //!     [--telemetry-json PATH] [--stats-every N] [bt 9 | cg 8 | ring 8 | pp 8 | ...]
 //! ```
 //!
@@ -41,16 +41,6 @@
 //! and `champion_swapped` flight events. `--ensemble-full` widens the
 //! roster to every implemented challenger (adds frequency, cycle, tag
 //! and the hybrid committee).
-//!
-//! `--rebalance` (`--engines` ≥ 2) enables the
-//! load-aware rebalancer: the replay interleaves a *skewed* hot/cold
-//! job mix (job `j` replays every `(j+1)`-th event, so job 0 is
-//! hottest), closes a rebalance epoch every few ingest batches, and
-//! live-migrates jobs off overloaded members mid-run. Results are
-//! bit-identical to the same skewed replay without rebalancing; the
-//! table gains a `[rebalance]` summary line, and telemetry snapshots
-//! carry `rebalance_epochs`/`rebalance_moves`/`rebalance_skipped`
-//! counters plus `job_migrated` flight events.
 //!
 //! `--snapshot PATH` replays a single configuration to its midpoint
 //! (half the trace, rounded down to a whole ingest batch), writes the
@@ -194,15 +184,6 @@ fn main() {
     });
     let ensemble = args.take_bool_flag("--ensemble");
     let ensemble_full = args.take_bool_flag("--ensemble-full");
-    let rebalance = args.take_bool_flag("--rebalance");
-    if rebalance && engines < 2 {
-        eprintln!("--rebalance needs --engines >= 2 (load-aware placement)");
-        std::process::exit(2);
-    }
-    if rebalance && jobs < 2 {
-        eprintln!("--rebalance needs --jobs >= 2 (a single job cannot be skewed or rebalanced)");
-        std::process::exit(2);
-    }
     let snapshot_path = args.take_flag("--snapshot");
     let restore_path = args.take_flag("--restore");
     if snapshot_path.is_some() && restore_path.is_some() {
@@ -279,8 +260,6 @@ fn main() {
         .engines(engines)
         .ensemble(ensemble)
         .ensemble_full(ensemble_full)
-        .rebalance(rebalance)
-        .skewed_jobs(rebalance)
         .telemetry(telemetry)
         .stats_every(stats_every);
 
@@ -429,23 +408,6 @@ fn main() {
                     "  [restore] {} events carried in from the snapshot, {} replayed live",
                     r.restored_events, r.replayed_events
                 );
-            }
-            if rebalance {
-                // Counter-backed when telemetry is on; the skew shape
-                // is a property of the workload either way.
-                match r.telemetry.as_ref() {
-                    Some(snap) => println!(
-                        "  [rebalance] skewed {jobs}-job mix over {engines} member(s): \
-                         {} epoch(s), {} move(s), {} skipped",
-                        snap.counter("rebalance_epochs").unwrap_or(0),
-                        snap.counter("rebalance_moves").unwrap_or(0),
-                        snap.counter("rebalance_skipped").unwrap_or(0),
-                    ),
-                    None => println!(
-                        "  [rebalance] skewed {jobs}-job mix over {engines} member(s) \
-                         (enable telemetry for epoch/move counters)"
-                    ),
-                }
             }
             for iv in &r.intervals {
                 let q = |name: &str, quantile: f64| {

@@ -22,10 +22,7 @@
 //! * every histogram's quantiles are monotone (`p50 ≤ p90 ≤ p99 ≤
 //!   max`) with `count`/`sum`/`mean`/`max` mutually consistent;
 //! * every flight event is fully attributed (all fields present, kind
-//!   is a known label);
-//! * rebalance replays: the `rebalance_*` counters travel as a full
-//!   set, moves imply closed epochs, and recorded `job_migrated`
-//!   flight events never exceed the move counter.
+//!   is a known label).
 //!
 //! Prints one line per failure and exits non-zero on any; prints an
 //! `OK` summary otherwise.
@@ -224,34 +221,6 @@ impl Checker {
             );
         }
 
-        // Rebalance replays: the three policy counters travel together
-        // (the layer exposes all of them whenever a policy is
-        // configured), and a move implies at least one closed epoch.
-        let rebalance: Vec<(&String, u64)> = counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("rebalance_"))
-            .map(|(k, v)| (k, v.as_u64().unwrap_or(0)))
-            .collect();
-        let mut moves = 0u64;
-        if !rebalance.is_empty() {
-            for name in ["rebalance_epochs", "rebalance_moves", "rebalance_skipped"] {
-                self.claim(
-                    rebalance.iter().any(|&(k, _)| k == name),
-                    &format!("{label}: partial rebalance counter set (missing {name})"),
-                );
-            }
-            let epochs = self.u64_at(
-                entry,
-                &["telemetry", "counters", "rebalance_epochs"],
-                &label,
-            );
-            moves = self.u64_at(entry, &["telemetry", "counters", "rebalance_moves"], &label);
-            self.claim(
-                moves == 0 || epochs > 0,
-                &format!("{label}: {moves} rebalance moves but no closed epoch"),
-            );
-        }
-
         // Flight events: fully attributed, known kinds, stamp-sorted.
         let flight = entry
             .path(&["telemetry", "flight"])
@@ -274,19 +243,6 @@ impl Checker {
                 &format!("{what}: stamps out of order ({at} after {prev_at})"),
             );
             prev_at = at;
-        }
-        if !rebalance.is_empty() {
-            // Every recorded migration was ordered by the rebalancer
-            // (the flight ring may have dropped old events, never
-            // invented them).
-            let migrated = flight
-                .iter()
-                .filter(|ev| ev.get("kind").and_then(Json::as_str) == Some("job_migrated"))
-                .count() as u64;
-            self.claim(
-                migrated <= moves,
-                &format!("{label}: {migrated} job_migrated flights exceed {moves} rebalance moves"),
-            );
         }
     }
 }

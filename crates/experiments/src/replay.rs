@@ -7,20 +7,15 @@ use mpp_core::dpd::DpdConfig;
 use mpp_core::PredictorKind;
 use mpp_engine::{
     BackpressurePolicy, DurabilityConfig, EngineConfig, EnsembleConfig, FederatedEngine,
-    FederationConfig, JobId, JobMetrics, ModelStats, Observation, PersistentEngine,
-    RebalanceConfig, RecoverError, RecoveryReport, ShardMetrics, SnapshotError, StreamKey,
-    StreamKind, TelemetryConfig, TelemetrySnapshot,
+    FederationConfig, JobId, JobMetrics, ModelStats, Observation, PersistentEngine, RecoverError,
+    RecoveryReport, ShardMetrics, SnapshotError, StreamKey, StreamKind, TelemetryConfig,
+    TelemetrySnapshot,
 };
 use mpp_nasbench::{run_config, BenchmarkConfig};
 use std::time::Instant;
 
 /// Events ingested per `observe_batch` call during replay.
 pub const REPLAY_BATCH: usize = 8192;
-
-/// `--rebalance` replays close a rebalance epoch every this many
-/// ingest batches, so even short traces see a few placement decisions
-/// mid-run.
-pub const REBALANCE_EVERY: usize = 2;
 
 /// Engine-side options for one replay run.
 #[derive(Debug, Clone)]
@@ -47,15 +42,6 @@ pub struct ReplayOpts {
     /// Widens the ensemble to the full roster
     /// ([`EnsembleConfig::full`]); implies `ensemble`.
     pub ensemble_full: bool,
-    /// With `engines > 1`: enables the load-aware rebalancer and closes
-    /// a rebalance epoch every few ingest batches, letting hot jobs
-    /// migrate between members mid-replay. Rollups stay bit-identical
-    /// either way.
-    pub rebalance: bool,
-    /// Interleaves a *skewed* job mix instead of full copies: job `j`
-    /// replays every `(j + 1)`-th event, so job 0 is hottest and the
-    /// tail is cold — the fixed hot/cold mix the rebalancer feeds on.
-    pub skewed_jobs: bool,
     /// Enables the engine telemetry layer (latency histograms, flight
     /// recorder); the final snapshot lands on the report.
     pub telemetry: bool,
@@ -77,8 +63,6 @@ impl Default for ReplayOpts {
             engines: 1,
             ensemble: false,
             ensemble_full: false,
-            rebalance: false,
-            skewed_jobs: false,
             telemetry: false,
             stats_every: None,
         }
@@ -134,19 +118,6 @@ impl ReplayOpts {
     /// [`ensemble`](Self::ensemble)).
     pub fn ensemble_full(mut self, on: bool) -> Self {
         self.ensemble_full = on;
-        self
-    }
-
-    /// Enables the load-aware rebalancer (`engines` > 1).
-    pub fn rebalance(mut self, on: bool) -> Self {
-        self.rebalance = on;
-        self
-    }
-
-    /// Replays a skewed hot/cold job mix instead of full per-job
-    /// copies.
-    pub fn skewed_jobs(mut self, on: bool) -> Self {
-        self.skewed_jobs = on;
         self
     }
 
@@ -334,31 +305,6 @@ pub fn interleave_jobs(events: &[Observation], jobs: usize) -> Vec<Observation> 
     out
 }
 
-/// Re-keys `events` into a *skewed* hot/cold job mix: job `j` replays
-/// only every `(j + 1)`-th source event, so job 0 carries the full
-/// stream, job 1 half of it, job 2 a third, and so on. Hash placement
-/// ignores load, so a federation serving this mix starts hot on
-/// whichever member drew job 0 — the workload the load-aware
-/// rebalancer exists to fix. Each job's subsequence is still a
-/// deterministic function of the trace, so skewed replays stay
-/// reproducible and rebalancing must not change any rollup.
-pub fn interleave_jobs_skewed(events: &[Observation], jobs: usize) -> Vec<Observation> {
-    assert!(jobs > 0, "at least one job copy");
-    if jobs == 1 {
-        return events.to_vec();
-    }
-    let mut out = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        for j in 0..jobs {
-            if i % (j + 1) == 0 {
-                let key = StreamKey::for_job(j as JobId, e.key.rank, e.key.kind);
-                out.push(Observation::new(key, e.value));
-            }
-        }
-    }
-    out
-}
-
 /// Engine-side outcome of one replay: per-shard counters, per-job
 /// rollups, ingest rate, and (telemetry-enabled runs) the final plus
 /// mid-replay snapshots.
@@ -390,14 +336,6 @@ pub fn replay_events(events: &[Observation], opts: &ReplayOpts) -> ReplayOutcome
     let fed = FederatedEngine::new(FederationConfig {
         members: opts.engines,
         member: cfg,
-        rebalance: opts.rebalance.then_some(RebalanceConfig {
-            // Replay epochs are short (a few batches), so use a tighter
-            // trigger than the production default: act on 10% skew and
-            // let a job move again after one quiet epoch.
-            headroom: 10,
-            max_moves_per_epoch: 2,
-            min_dwell_epochs: 1,
-        }),
     });
     let client = fed.client();
     let start = Instant::now();
@@ -405,12 +343,6 @@ pub fn replay_events(events: &[Observation], opts: &ReplayOpts) -> ReplayOutcome
     for (i, chunk) in events.chunks(REPLAY_BATCH).enumerate() {
         client.observe_batch(chunk);
         submitted += chunk.len();
-        if opts.rebalance && (i + 1) % REBALANCE_EVERY == 0 {
-            // Closing the epoch quiesces the moved jobs, so the migration
-            // cut lands between fully-ingested batches and rollups stay
-            // bit-identical.
-            fed.rebalance_epoch();
-        }
         if every.is_some_and(|n| (i + 1) % n == 0) {
             // The snapshot query queues behind the submitted batches, so
             // each interval reflects fully-ingested prefixes only.
@@ -421,11 +353,6 @@ pub fn replay_events(events: &[Observation], opts: &ReplayOpts) -> ReplayOutcome
                 });
             }
         }
-    }
-    if opts.rebalance {
-        // Always close at least one epoch — short traces may never hit
-        // the mid-run cadence.
-        fed.rebalance_epoch();
     }
     // The metrics round-trip queues behind every submitted batch, so it
     // also closes the timing window fairly.
@@ -450,16 +377,10 @@ pub fn replay_events(events: &[Observation], opts: &ReplayOpts) -> ReplayOutcome
 }
 
 /// Runs `config` once and replays its trace (interleaved into
-/// `opts.jobs` job copies — skewed hot/cold when `opts.skewed_jobs`)
-/// through the engine.
+/// `opts.jobs` job copies) through the engine.
 pub fn replay(config: &BenchmarkConfig, seed: u64, opts: &ReplayOpts) -> ReplayReport {
     let trace = run_config(config, seed);
-    let base = trace_to_events(&trace);
-    let events = if opts.skewed_jobs {
-        interleave_jobs_skewed(&base, opts.jobs)
-    } else {
-        interleave_jobs(&base, opts.jobs)
-    };
+    let events = interleave_jobs(&trace_to_events(&trace), opts.jobs);
     let outcome = replay_events(&events, opts);
     report_of(config, events.len(), 0, outcome)
 }
@@ -778,65 +699,6 @@ mod tests {
         // with the same per-job rollups.
         let single = replay(&cfg, 7, &ReplayOpts::with_shards(2).jobs(3));
         assert_eq!(single.per_job, fed.per_job);
-    }
-
-    #[test]
-    fn skewed_interleave_builds_the_hot_cold_mix() {
-        let events = vec![
-            Observation::new(StreamKey::new(0, StreamKind::Sender), 1),
-            Observation::new(StreamKey::new(0, StreamKind::Size), 64),
-            Observation::new(StreamKey::new(1, StreamKind::Sender), 2),
-            Observation::new(StreamKey::new(1, StreamKind::Size), 32),
-        ];
-        assert_eq!(interleave_jobs_skewed(&events, 1), events);
-        let mix = interleave_jobs_skewed(&events, 3);
-        // Job 0 gets all 4 events, job 1 every 2nd, job 2 every 3rd.
-        for (job, want) in [(0u32, 4usize), (1, 2), (2, 2)] {
-            let sub: Vec<_> = mix.iter().filter(|o| o.key.job == job).collect();
-            assert_eq!(sub.len(), want, "job {job}");
-            // Each job's stream is a subsequence of the original.
-            let mut cursor = events.iter();
-            for got in &sub {
-                assert!(cursor.any(|want| {
-                    want.key.rank == got.key.rank
-                        && want.key.kind == got.key.kind
-                        && want.value == got.value
-                }));
-            }
-        }
-    }
-
-    #[test]
-    fn rebalanced_replay_is_bit_identical_to_rebalancing_disabled() {
-        let cfg = BenchmarkConfig::new(BenchId::Cg, 4, Class::S);
-        let base = ReplayOpts::with_shards(2)
-            .jobs(4)
-            .engines(2)
-            .skewed_jobs(true)
-            .telemetry(true);
-        let off = replay(&cfg, 7, &base.clone());
-        let on = replay(&cfg, 7, &base.rebalance(true));
-        // The whole point: live rebalancing must be invisible in every
-        // scoring rollup (±0), per job and in total.
-        assert_eq!(on.per_job.len(), off.per_job.len());
-        for ((job, got), (_, want)) in on.per_job.iter().zip(&off.per_job) {
-            assert_eq!(got.events_ingested, want.events_ingested, "job {job}");
-            assert_eq!(got.hits, want.hits, "job {job} hits");
-            assert_eq!(got.misses, want.misses, "job {job} misses");
-            assert_eq!(got.abstentions, want.abstentions, "job {job}");
-        }
-        assert_eq!(on.total.hits, off.total.hits);
-        assert_eq!(on.total.misses, off.total.misses);
-        assert_eq!(on.total.events_ingested, off.total.events_ingested);
-        // And the rebalancer actually ran: epochs closed, counters on
-        // the wire.
-        let snap = on.telemetry.as_ref().expect("telemetry enabled");
-        assert!(snap.counter("rebalance_epochs").unwrap_or(0) > 0);
-        assert!(snap.counter("rebalance_moves").is_some());
-        assert!(snap.counter("rebalance_skipped").is_some());
-        // The disabled run exposes no rebalance counters at all.
-        let off_snap = off.telemetry.as_ref().expect("telemetry enabled");
-        assert_eq!(off_snap.counter("rebalance_epochs"), None);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   recording handles.
 //! * [`FlightRecorder`] — a fixed-capacity ring of recent structured
 //!   events (evictions, backpressure blocks/sheds, worker deaths,
-//!   period churn, epoch re-bounds) with engine-time stamps and
-//!   member/shard/job attribution.
+//!   period churn, job migrations, champion swaps, log truncations; see
+//!   [`FlightKind`]) with engine-time stamps and member/shard/job
+//!   attribution.
 //! * [`TelemetrySnapshot`] — an owned, mergeable export surface with
 //!   serde-free JSON and Prometheus-style text writers.
 //!
